@@ -23,7 +23,6 @@ from .complexity import (
     minimal_expression,
 )
 from .covers import (
-    CoverValidationError,
     cover_from_graph,
     cover_to_json,
     graph_from_cover,
@@ -32,7 +31,7 @@ from .covers import (
     validate_cover,
     write_cover_json,
 )
-from .expressions import ExpressionSyntaxError, format_expression, parse_expression
+from .expressions import format_expression, parse_expression
 from .graphs import (
     MisCapError,
     Variant,
@@ -260,10 +259,7 @@ def run(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, MisCapError, CoverValidationError, ExpressionSyntaxError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, MisCapError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

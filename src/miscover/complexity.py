@@ -118,8 +118,12 @@ def graph_from_expression(e: ex.Expression) -> Graph:
         return disjoint_union(left, right)
 
     g = build(e)
-    assert g.n == e.ones
-    assert count_mis(g) == e.value
+    count = count_mis(g)
+    if g.n != e.ones or count != e.value:
+        raise ValueError(
+            f"expression claims value {e.value} with {e.ones} ones, but its "
+            f"graph has {count} MISes on {g.n} vertices"
+        )
     return g
 
 

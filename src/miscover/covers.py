@@ -25,11 +25,17 @@ from .graphs import (
     DEFAULT_MIS_CAP,
     MAX_VERTICES,
     Graph,
+    MisCapError,
     VertexSet,
     _bits_of,
     _mis_masks,
     extremal_graph,
 )
+
+
+def _is_index(x) -> bool:
+    """A non-negative int that is not a bool (JSON true would pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,24 @@ class SeparatingCover:
     sets: tuple[int, ...]
 
     def __init__(self, ground_size: int, sets):
-        if ground_size < 0:
-            raise ValueError(f"ground_size must be >= 0, got {ground_size}")
-        full = (1 << ground_size) - 1
+        if not _is_index(ground_size):
+            raise ValueError(f"ground_size must be an int >= 0, got {ground_size!r}")
         masks = []
-        for s in sets:
-            mask = s if isinstance(s, int) else sum(1 << x for x in set(s))
+        for i, s in enumerate(sets):
+            if isinstance(s, int):
+                mask = s
+            else:
+                mask = 0
+                for x in s:
+                    if not _is_index(x) or x >= ground_size:
+                        raise ValueError(
+                            f"set {i}: element {x!r} is not an integer "
+                            f"in 0..{ground_size - 1}"
+                        )
+                    mask |= 1 << x
             if mask == 0:
                 raise ValueError("empty sets are not allowed in a cover")
-            if mask < 0 or mask & ~full:
+            if mask < 0 or mask >> ground_size:
                 raise ValueError(
                     f"set with elements outside 0..{ground_size - 1} is not allowed"
                 )
@@ -149,11 +164,13 @@ def validate_cover(cover: SeparatingCover) -> CoverReport:
 def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     """Separating cover whose elements are the MISes of g, one set per vertex.
 
-    Element x is the x-th MIS in canonical enumeration order; the set for
-    vertex v collects the MISes containing v.  Distinct MISes M, N are
-    separated because some u in M\\N forces a neighbor v in N, and the u-
-    and v-sets are disjoint.  Duplicated vertex sets are merged, so the
-    result has at most g.n sets.
+    Element x is the x-th MIS in canonical order (ascending member lists,
+    generated in that order by branching on the lowest undecided vertex,
+    include first, as in ``enumerate_mis``); the set for vertex v collects
+    the MISes containing v.  Distinct MISes M, N are separated because
+    some u in M\\N forces a neighbor v in N, and the u- and v-sets are
+    disjoint.  Duplicated vertex sets are merged, so the result has at
+    most g.n sets.
 
     Isolated vertices (for g.n >= 2) are rejected: such a vertex lies in
     every MIS, so no pair of MISes could ever be separated.
@@ -170,18 +187,23 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
                     f"vertex {v} is isolated; its MIS-membership set would "
                     f"intersect every other and the cover could not separate"
                 )
-    mis = _mis_masks(g, cap)
-    mis.sort(key=lambda mask: tuple(_bits_of(mask)))
+    mis = _mis_masks(g.adj, g.full_mask, cap + 1)
+    if len(mis) > cap:
+        raise MisCapError(cap, cap)
+    return SeparatingCover(len(mis), _membership_sets(mis, g.n))
+
+
+def _membership_sets(mis: list[int], n: int) -> list[int]:
+    """For each vertex v < n, the bitmask of indices x with v in mis[x]."""
     # accumulate in bytearrays: |= (1 << x) on a multi-megabit int would
     # copy the whole integer once per MIS membership
     nbytes = (len(mis) + 7) // 8 or 1
-    buffers = [bytearray(nbytes) for _ in range(g.n)]
+    buffers = [bytearray(nbytes) for _ in range(n)]
     for x, mask in enumerate(mis):
         byte, bit = x >> 3, 1 << (x & 7)
         for v in _bits_of(mask):
             buffers[v][byte] |= bit
-    vertex_sets = [int.from_bytes(buf, "little") for buf in buffers]
-    return SeparatingCover(len(mis), vertex_sets)
+    return [int.from_bytes(buf, "little") for buf in buffers]
 
 
 def greedy_mis_witnesses(cover: SeparatingCover, graph: Graph | None = None) -> list[VertexSet]:
@@ -218,7 +240,7 @@ def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
     intersecting, hence independent here, and extend to an MIS; the
     separation property keeps those ground_size MISes pairwise distinct,
     so the result has at least ground_size MISes.  With ``check`` the
-    cover is validated first and the witness distinctness is asserted.
+    cover is validated first and the witness distinctness is checked.
     """
     if len(cover.sets) > MAX_VERTICES:
         raise ValueError(
@@ -238,30 +260,30 @@ def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
     g = Graph(k, tuple(adj))
     if check:
         witnesses = {w.bits for w in greedy_mis_witnesses(cover, g)}
-        assert len(witnesses) == cover.ground_size, (
-            "witness MISes collided; cover was not separating"
-        )
+        if len(witnesses) != cover.ground_size:
+            raise ValueError("witness MISes collided; cover was not separating")
     return g
 
 
 def minimal_cover(m: int) -> SeparatingCover:
     """A separating cover on m elements with the minimum number of sets.
 
-    Takes the extremal graph on min_separating_sets(m) vertices, builds its
-    MIS cover, and restricts the ground set to the first m MISes in
-    canonical order.  Restriction keeps both properties: surviving
-    elements keep a containing set, surviving pairs keep their disjoint
-    witnesses; emptied sets are dropped and duplicates re-merged.
+    Takes the extremal graph on min_separating_sets(m) vertices, which has
+    at least m MISes, and builds the MIS cover of ``cover_from_graph`` over
+    only its first m MISes in canonical order; the enumeration stops there
+    rather than listing every MIS.  This is the restriction of the full
+    MIS cover to its first m elements, which keeps both properties:
+    surviving elements keep a containing set, surviving pairs keep their
+    disjoint witnesses.  Vertex sets left empty are dropped and
+    duplicates merged.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > 10**6:
         raise ValueError(f"m must be <= 10**6, got {m}")
-    n = min_separating_sets(m)
-    big = cover_from_graph(extremal_graph(n))
-    keep = (1 << m) - 1
-    restricted = [s & keep for s in big.sets if s & keep]
-    return SeparatingCover(m, restricted)
+    g = extremal_graph(min_separating_sets(m))
+    mis = _mis_masks(g.adj, g.full_mask, m)
+    return SeparatingCover(m, [s for s in _membership_sets(mis, g.n) if s])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +303,14 @@ def cover_from_json(text: str) -> SeparatingCover:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"ground_size", "sets"}:
         raise ValueError("cover JSON must have exactly the keys ground_size, sets")
-    return SeparatingCover(obj["ground_size"], obj["sets"])
+    sets = obj["sets"]
+    if not isinstance(sets, list):
+        raise ValueError(f"cover JSON sets must be a list, got {sets!r}")
+    for i, s in enumerate(sets):
+        # a bare int would be read as a bitmask, which the format does not allow
+        if not isinstance(s, list):
+            raise ValueError(f"set {i} must be a list of elements, got {s!r}")
+    return SeparatingCover(obj["ground_size"], sets)
 
 
 def write_cover_json(cover: SeparatingCover, path) -> None:

@@ -233,48 +233,24 @@ def _branch_vertex(adj: tuple[int, ...], alive: int) -> int:
     return best_v
 
 
-def _mis_masks(g: Graph, cap: int) -> list[int]:
-    """All MIS bitmasks of g, unordered, at most ``cap`` of them.
+def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
+    """The first ``limit`` MIS bitmasks of the subgraph induced by ``alive``.
 
-    The MISes of a disjoint union are exactly the unions of one MIS per
-    connected component, so components are enumerated separately and
-    combined as cartesian products.  The error's partial count is the
-    number of sets enumerated before the cap struck.
-    """
-    adj = g.adj
-    components = []
-    alive = g.full_mask
-    while alive:
-        comp = _flood(adj, alive, complement=False)
-        components.append(comp)
-        alive &= ~comp
-    lists = [_component_mis_masks(adj, comp, cap) for comp in components]
-    out: list[int] = []
-
-    def emit(i: int, partial: int) -> None:
-        if i == len(lists):
-            if len(out) >= cap:
-                raise MisCapError(cap, len(out))
-            out.append(partial)
-            return
-        for mask in lists[i]:
-            emit(i + 1, partial | mask)
-
-    emit(0, 0)
-    return out
-
-
-def _component_mis_masks(adj: tuple[int, ...], comp: int, cap: int) -> list[int]:
-    """MIS bitmasks of one connected induced subgraph.
-
-    Branches on a maximum-degree vertex v: either v enters the set (N[v]
-    leaves play), or v is excluded and recorded as still needing a
-    neighbor in the set.  Branches whose pending vertices can no longer
-    be dominated are pruned, so each emitted mask is maximal.
+    Branches on the lowest alive vertex v, include branch first: either v
+    enters the set (N[v] leaves play), or v is excluded and recorded as
+    still needing a neighbor in the set.  Branches whose pending vertices
+    can no longer be dominated are pruned, so each emitted mask is
+    maximal.  They come in canonical order without sorting: every included
+    vertex lies below every alive one, so all sets under a node share
+    their sorted prefix; the include branch continues that prefix with v,
+    while an exclude-branch set must continue with some w > v, since it
+    cannot stop at the prefix and leave v undominated.
     """
     out: list[int] = []
 
     def rec(alive: int, partial: int, need: int) -> None:
+        if len(out) >= limit:
+            return
         nd = need
         while nd:
             low = nd & -nd
@@ -282,16 +258,14 @@ def _component_mis_masks(adj: tuple[int, ...], comp: int, cap: int) -> list[int]
                 return  # an excluded vertex can never be dominated
             nd ^= low
         if not alive:
-            if len(out) >= cap:
-                raise MisCapError(cap, len(out))
             out.append(partial)
             return
-        v = _branch_vertex(adj, alive)
-        bit = 1 << v
-        rec(alive & ~(adj[v] | bit), partial | bit, need & ~adj[v])
+        bit = alive & -alive
+        nbrs = adj[bit.bit_length() - 1]
+        rec(alive & ~(nbrs | bit), partial | bit, need & ~nbrs)
         rec(alive & ~bit, partial, need | bit)
 
-    rec(comp, 0, 0)
+    rec(alive, 0, 0)
     return out
 
 
@@ -299,11 +273,13 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     """All maximal independent sets, sorted by ascending member list.
 
     The order is canonical: compare the sorted vertex tuples
-    lexicographically, e.g. {0,2} before {1}.  Raises MisCapError if more
-    than ``cap`` sets exist.
+    lexicographically, e.g. {0,2} before {1}.  It is produced directly by
+    branching on the lowest undecided vertex, include first, with no sort.
+    Raises MisCapError if more than ``cap`` sets exist.
     """
-    masks = _mis_masks(g, cap)
-    masks.sort(key=lambda m: tuple(_bits_of(m)))
+    masks = _mis_masks(g.adj, g.full_mask, cap + 1)
+    if len(masks) > cap:
+        raise MisCapError(cap, cap)
     return [VertexSet(m, g.n) for m in masks]
 
 

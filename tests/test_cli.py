@@ -131,6 +131,30 @@ def test_graph_from_cover_rejects_invalid(tmp_path, capsys):
     assert "not separating" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"ground_size":3,"sets":[[0.5]]}',
+        '{"ground_size":"3","sets":[[0]]}',
+        '{"ground_size":3,"sets":5}',
+        '{"ground_size":3,"sets":[["a"]]}',
+        '{"ground_size":3,"sets":[[-1]]}',
+        '{"ground_size":true,"sets":[[0]]}',
+        '{"ground_size":3,"sets":[7]}',
+        '{"ground_size":3,"sets":[[[0]]]}',
+    ],
+)
+def test_malformed_cover_json_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    for command in ("validate-cover", "graph-from-cover"):
+        assert run([command, "--cover", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "shift count" not in err
+
+
 def test_missing_file_is_domain_error(capsys):
     assert run(["mis", "--count", "--graph", "/nonexistent/g.txt"]) == 1
     capsys.readouterr()

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import miscover
 from miscover import (
     complexity_csv,
     complexity_table,
@@ -91,6 +95,24 @@ def test_graph_from_expression_rejects_too_many_ones():
     t = parse_expression("+".join(["1"] * 129))
     with pytest.raises(ValueError):
         graph_from_expression(t)
+
+
+def test_graph_from_expression_rejects_inconsistent_value_under_optimize():
+    # the check must survive python -O, which strips assert statements
+    code = (
+        "from miscover import graph_from_expression\n"
+        "from miscover.expressions import SUM, Expression, one\n"
+        "try:\n"
+        "    graph_from_expression(Expression(SUM, one(), one(), 5, 2))\n"
+        "except ValueError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:") and "value 5" in proc.stdout
 
 
 def test_construction_sound_to_300_with_enumeration_to_60():

@@ -33,6 +33,12 @@ def test_construction_dedups_and_rejects_bad_sets():
         SeparatingCover(2, [set()])
     with pytest.raises(ValueError):
         SeparatingCover(2, [{0, 5}])
+    for bad in ([-1], [0.5], ["a"], [True]):
+        with pytest.raises(ValueError, match="element"):
+            SeparatingCover(2, [bad])
+    for bad_size in (-1, "3", True):
+        with pytest.raises(ValueError, match="ground_size"):
+            SeparatingCover(bad_size, [])
 
 
 def test_validate_singletons_separate():
@@ -149,6 +155,16 @@ def test_minimal_cover_sizes_and_validity():
         assert validate_cover(mc).valid
     with pytest.raises(ValueError):
         minimal_cover(0)
+
+
+def test_minimal_cover_is_truncated_full_cover():
+    # the reference builds the whole MIS cover of the extremal graph and
+    # restricts it to the first m elements
+    for m in list(range(1, 301)) + [1000, 10_000]:
+        full = cover_from_graph(extremal_graph(min_separating_sets(m)))
+        keep = (1 << m) - 1
+        expected = SeparatingCover(m, [s & keep for s in full.sets if s & keep])
+        assert minimal_cover(m) == expected
 
 
 def test_minimal_cover_is_optimal_up_to_12():

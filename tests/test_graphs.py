@@ -123,6 +123,18 @@ def test_enumeration_matches_definition_checker():
         assert count_mis(g) == len(sets)
 
 
+def test_enumeration_order_is_canonical():
+    # the oracle orders the brute-force masks by their ascending member lists
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.4, 0.6, 0.8]))
+        expected = sorted(
+            brute_mis_masks(g), key=lambda m: [v for v in range(n) if m >> v & 1]
+        )
+        assert [s.bits for s in enumerate_mis(g)] == expected
+
+
 def test_count_mis_on_all_graphs_up_to_5():
     for n in range(6):
         for g in all_graphs(n):
