@@ -45,8 +45,10 @@ from .expressions import (
     parse_expression,
 )
 from .graphs import (
+    COUNT_MEMO_BUDGET,
     DEFAULT_MIS_CAP,
     MAX_VERTICES,
+    CountBudgetError,
     Graph,
     MisCapError,
     Variant,
@@ -74,6 +76,7 @@ from .oracles import (
     brute_complexity,
     brute_max_mis_count,
     brute_max_partition_product,
+    brute_mis_masks,
     brute_min_separating_sets,
     canonical_form,
     extremal_graphs_up_to_iso,

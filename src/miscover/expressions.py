@@ -59,7 +59,15 @@ class ExpressionSyntaxError(ValueError):
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse expression text; only the digit '1' is a valid literal."""
+    """Parse expression text; only the digit '1' is a valid literal.
+
+    One left-to-right pass with an explicit stack of open parentheses, so
+    neither long chains nor deep nesting recurse: any input length parses
+    or fails with an ExpressionSyntaxError.  Each open group collects the
+    finished terms of its sum and the factors of its current product;
+    closing folds both from the right, which builds the right-associated
+    tree of the grammar.
+    """
     tokens: list[tuple[str, int]] = []
     for pos, ch in enumerate(text):
         if ch.isspace():
@@ -70,57 +78,50 @@ def parse_expression(text: str) -> Expression:
             raise ExpressionSyntaxError(pos, f"digit {ch!r} is not allowed, only '1'")
         else:
             raise ExpressionSyntaxError(pos, f"unexpected character {ch!r}")
-
-    idx = 0
-
-    def peek() -> str | None:
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def error_pos() -> int:
-        return tokens[idx][1] if idx < len(tokens) else len(text)
-
-    def parse_expr() -> Expression:
-        nonlocal idx
-        node = parse_term()
-        if peek() == "+":
-            idx += 1
-            return add(node, parse_expr())
-        return node
-
-    def parse_term() -> Expression:
-        nonlocal idx
-        node = parse_factor()
-        nxt = peek()
-        if nxt == "*":
-            idx += 1
-            if peek() not in ("1", "("):
-                raise ExpressionSyntaxError(error_pos(), "expected '1' or '(' after '*'")
-            return mul(node, parse_term())
-        if nxt in ("1", "("):
-            return mul(node, parse_term())
-        return node
-
-    def parse_factor() -> Expression:
-        nonlocal idx
-        tok = peek()
-        if tok == "1":
-            idx += 1
-            return one()
-        if tok == "(":
-            idx += 1
-            node = parse_expr()
-            if peek() != ")":
-                raise ExpressionSyntaxError(error_pos(), "expected ')'")
-            idx += 1
-            return node
-        raise ExpressionSyntaxError(error_pos(), "expected '1' or '('")
-
     if not tokens:
         raise ExpressionSyntaxError(0, "empty expression")
-    result = parse_expr()
-    if idx < len(tokens):
-        raise ExpressionSyntaxError(error_pos(), f"unexpected {tokens[idx][0]!r}")
-    return result
+
+    # groups[-1] is the innermost open group: (terms, factors)
+    groups: list[tuple[list[Expression], list[Expression]]] = [([], [])]
+    prev = "("  # an operand is due after '(', '+', '*' and at the start
+
+    def operand_missing(pos: int) -> ExpressionSyntaxError:
+        after = " after '*'" if prev == "*" else ""
+        return ExpressionSyntaxError(pos, f"expected '1' or '('{after}")
+
+    for tok, pos in tokens:
+        terms, factors = groups[-1]
+        if tok == "1":
+            factors.append(one())
+        elif tok == "(":
+            groups.append(([], []))
+        elif prev in "+*(":
+            raise operand_missing(pos)
+        elif tok == "+":
+            terms.append(_fold(mul, factors))
+            factors.clear()
+        elif tok == ")":
+            if len(groups) == 1:
+                raise ExpressionSyntaxError(pos, "unexpected ')'")
+            terms.append(_fold(mul, factors))
+            groups.pop()
+            groups[-1][1].append(_fold(add, terms))
+        prev = tok
+    if prev in "+*(":
+        raise operand_missing(len(text))
+    if len(groups) > 1:
+        raise ExpressionSyntaxError(len(text), "expected ')'")
+    terms, factors = groups[0]
+    terms.append(_fold(mul, factors))
+    return _fold(add, terms)
+
+
+def _fold(op, items: list[Expression]) -> Expression:
+    """op(items[0], op(items[1], ...)): the right-associated chain."""
+    node = items[-1]
+    for item in reversed(items[:-1]):
+        node = op(item, node)
+    return node
 
 
 def format_expression(e: Expression) -> str:

@@ -3,7 +3,8 @@
 Nothing here reuses the closed forms or the production algorithms it
 certifies.  Partition products come from exhaustive partition search, MIS
 maxima from scanning every labeled graph (counting maximal sets straight
-from the definition, vectorized across all graphs at once), separating
+from the definition, vectorized across all graphs at once), the MISes of
+one graph from testing every vertex subset the same way, separating
 minima from exhaustive family search, and complexity from breadth-first
 reachable-value sets.  ``run_verification`` compares each oracle with its
 closed-form or DP counterpart and reports agreement.
@@ -90,6 +91,23 @@ def brute_max_mis_count(n: int, allow_large: bool = False) -> int:
     if not 1 <= n <= limit:
         raise ValueError(f"n must be in 1..{limit}, got {n}")
     return _scan_all_graphs(n)[0]
+
+
+def brute_mis_masks(g: Graph) -> list[int]:
+    """Every MIS bitmask of g in ascending order, straight from the definition.
+
+    Tests all 2**n vertex subsets at once: a subset qualifies when each of
+    its vertices has no neighbor inside it and each other vertex has one.
+    Limited to n <= 20 (2**20 subsets).
+    """
+    if g.n > 20:
+        raise ValueError(f"scanning every vertex subset needs n <= 20, got {g.n}")
+    subsets = np.arange(1 << g.n, dtype=np.int64)
+    ok = np.ones(len(subsets), dtype=bool)
+    for v, row in enumerate(g.adj):
+        inside = (subsets >> v & 1).astype(bool)
+        ok &= inside != ((subsets & row) != 0)
+    return [int(s) for s in np.flatnonzero(ok)]
 
 
 def brute_min_separating_sets(m: int, mode: str = "direct") -> int:

@@ -20,6 +20,15 @@ def random_graph_no_isolated(rng: random.Random, n: int, p: float = 0.5):
             return g
 
 
+def prism_graph(k: int):
+    """C_k x K_2: two k-cycles joined by a perfect matching, cubic on 2k vertices."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return from_edges(
+        2 * k,
+        ring + [(k + u, k + v) for u, v in ring] + [(i, k + i) for i in range(k)],
+    )
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices, in edge-mask order."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

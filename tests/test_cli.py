@@ -1,13 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import miscover
+import miscover.graphs
+from conftest import prism_graph
 from miscover import (
     complete_graph,
     count_mis,
     cover_from_graph,
+    cycle_graph,
     extremal_graph,
     graph_from_text,
+    perrin,
     write_cover_json,
     write_graph_text,
 )
@@ -71,6 +80,46 @@ def test_expr_graph_command(tmp_path, capsys):
     assert g.n == 7 and count_mis(g) == 10
     assert run(["expr-graph", "(1+2)"]) == 1  # syntax error is a domain failure
     capsys.readouterr()
+
+
+def cli(*args):
+    """Run ``python -m miscover`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "miscover", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_expr_graph_long_and_deep_input_has_no_traceback():
+    # each of these once overflowed the recursive-descent parser's stack
+    proc = cli("expr-graph", "(" * 1200 + "1" + ")" * 1200)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p 1 0\n", "")
+    for text in ("1" * 1500, "(1+" * 1500 + "1" + ")" * 1500):
+        proc = cli("expr-graph", text)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: expression has 1")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_mis_count_on_128_cycle(tmp_path, capsys):
+    path = tmp_path / "c128.txt"
+    write_graph_text(cycle_graph(128), path)
+    assert run(["mis", "--count", "--graph", str(path)]) == 0
+    assert out_of(capsys) == f"{perrin(128)}\n"
+
+
+def test_mis_count_over_budget_is_one_line_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "prism.txt"
+    write_graph_text(prism_graph(18), path)  # cubic, 36 vertices
+    monkeypatch.setattr(miscover.graphs, "COUNT_MEMO_BUDGET", 50)
+    assert run(["mis", "--count", "--graph", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: counting maximal independent sets needs more than 50 memo "
+        "entries; the graph is too hard to count\n"
+    )
 
 
 def test_mis_count_and_list(tmp_path, capsys):

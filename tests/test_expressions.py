@@ -98,3 +98,99 @@ def test_round_trip_exhaustive_small_trees():
     for n in range(1, 8):
         for t in all_trees(n):
             assert parse_expression(format_expression(t)) == t
+
+
+def recursive_parse(text):
+    """The recursive-descent parser parse_expression replaced: the reference
+    for its trees and for the position and message of every error."""
+    tokens = []
+    for pos, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if ch in "1+*()":
+            tokens.append((ch, pos))
+        elif ch.isdigit():
+            raise ExpressionSyntaxError(pos, f"digit {ch!r} is not allowed, only '1'")
+        else:
+            raise ExpressionSyntaxError(pos, f"unexpected character {ch!r}")
+    idx = 0
+
+    def peek():
+        return tokens[idx][0] if idx < len(tokens) else None
+
+    def error_pos():
+        return tokens[idx][1] if idx < len(tokens) else len(text)
+
+    def parse_expr():
+        nonlocal idx
+        node = parse_term()
+        if peek() == "+":
+            idx += 1
+            return add(node, parse_expr())
+        return node
+
+    def parse_term():
+        nonlocal idx
+        node = parse_factor()
+        nxt = peek()
+        if nxt == "*":
+            idx += 1
+            if peek() not in ("1", "("):
+                raise ExpressionSyntaxError(error_pos(), "expected '1' or '(' after '*'")
+            return mul(node, parse_term())
+        if nxt in ("1", "("):
+            return mul(node, parse_term())
+        return node
+
+    def parse_factor():
+        nonlocal idx
+        tok = peek()
+        if tok == "1":
+            idx += 1
+            return one()
+        if tok == "(":
+            idx += 1
+            node = parse_expr()
+            if peek() != ")":
+                raise ExpressionSyntaxError(error_pos(), "expected ')'")
+            idx += 1
+            return node
+        raise ExpressionSyntaxError(error_pos(), "expected '1' or '('")
+
+    if not tokens:
+        raise ExpressionSyntaxError(0, "empty expression")
+    result = parse_expr()
+    if idx < len(tokens):
+        raise ExpressionSyntaxError(error_pos(), f"unexpected {tokens[idx][0]!r}")
+    return result
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ExpressionSyntaxError as e:
+        return (e.position, str(e))
+
+
+def test_parser_matches_recursive_reference():
+    rng = random.Random(5)
+    texts = [format_expression(random_tree(rng, rng.randint(1, 20))) for _ in range(500)]
+    for _ in range(20_000):
+        texts.append("".join(rng.choice("11+*() ") for _ in range(rng.randint(0, 12))))
+    for text in texts:
+        assert outcome(parse_expression, text) == outcome(recursive_parse, text), text
+
+
+def test_parser_takes_long_chains_and_deep_nesting():
+    deep = "(" * 5000 + "1" + ")" * 5000
+    assert parse_expression(deep) == one()
+    chain = parse_expression("1" * 5000)
+    assert chain.ones == 5000 and chain.value == 1
+    assert chain.right.ones == 4999  # right-associated
+    total = parse_expression("+".join(["1"] * 5000))
+    assert total.value == 5000 and total.left == one()
+    nested = parse_expression("(1+" * 3000 + "1" + ")" * 3000)
+    assert nested.value == 3001
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expression("(" * 5000 + "1")
+    assert exc.value.position == 5001

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph
+import miscover.graphs
+from conftest import all_graphs, prism_graph, random_graph
 from miscover import (
+    CountBudgetError,
     Graph,
     MisCapError,
     Variant,
@@ -25,10 +27,7 @@ from miscover import (
     max_partition_product,
     perrin,
 )
-
-
-def brute_mis_masks(g):
-    return [m for m in range(1 << g.n) if is_maximal_independent(g, m)]
+from miscover.oracles import brute_mis_masks
 
 
 def test_complete_graph_mis_counts():
@@ -142,8 +141,48 @@ def test_count_mis_on_all_graphs_up_to_5():
 
 
 def test_cycles_count_perrin():
-    for j in range(3, 26):
+    for j in range(3, 129):
         assert count_mis(cycle_graph(j)) == perrin(j)
+
+
+def test_paths_count_padovan_type_recurrence():
+    # P_n has p(n) = p(n-2) + p(n-3) MISes, with p(1), p(2), p(3) = 1, 2, 2
+    p = [None, 1, 2, 2]
+    for n in range(4, 129):
+        p.append(p[n - 2] + p[n - 3])
+    for n in range(1, 129):
+        assert count_mis(from_edges(n, [(i, i + 1) for i in range(n - 1)])) == p[n]
+
+
+def test_count_mis_on_random_graphs_against_brute_force():
+    rng = random.Random(13)
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        assert count_mis(g) == len(brute_mis_masks(g))
+
+
+def test_count_mis_against_networkx_cliques_of_complement():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 20), rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]))
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        h = nx.complement(h)
+        assert count_mis(g) == sum(1 for _ in nx.find_cliques(h))
+
+
+def test_count_mis_keeps_only_the_count_and_fails_fast(monkeypatch):
+    g = prism_graph(18)  # cubic, 36 vertices
+    monkeypatch.setattr(miscover.graphs, "COUNT_MEMO_BUDGET", 50)
+    with pytest.raises(CountBudgetError) as exc:
+        count_mis(g)
+    assert exc.value.budget == 50
+    assert g._cache == {}
+    monkeypatch.undo()
+    total = count_mis(g)
+    assert total == len(enumerate_mis(g)) == 5780
+    assert g._cache == {"count_mis": total}  # the memo died with the call
 
 
 def test_extremal_graph_small_cases():
