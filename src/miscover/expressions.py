@@ -21,11 +21,14 @@ SUM = "sum"
 PRODUCT = "product"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expression:
     """Binary tree of 1-leaves with cached value and leaf count.
 
     Build through one()/add()/mul() so value and ones stay consistent.
+    Equality compares every field, as a generated dataclass ``__eq__``
+    would; it and the hash walk the tree with an explicit stack, so no
+    depth of tree recurses.
     """
 
     kind: str
@@ -33,6 +36,36 @@ class Expression:
     right: "Expression | None"
     value: int
     ones: int
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Expression):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a is None or b is None:
+                return False
+            if (a.kind, a.value, a.ones) != (b.kind, b.value, b.ones):
+                return False
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        return True
+
+    def __hash__(self) -> int:
+        # the pre-order field sequence, None marking a missing child,
+        # which equal trees share
+        fields = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                fields.append(None)
+            else:
+                fields.append((node.kind, node.value, node.ones))
+                stack += (node.right, node.left)
+        return hash(tuple(fields))
 
 
 _ONE = Expression(ONE, None, None, 1, 1)
@@ -130,20 +163,26 @@ def format_expression(e: Expression) -> str:
     Products juxtapose their operands.  Parentheses appear exactly where
     the right-associative grammar would otherwise regroup: around sums
     inside products, and around left children that repeat the parent
-    operator.
+    operator.  The tree is walked in order with an explicit stack of nodes
+    and pending text, so no depth of tree recurses.
     """
-    if e.kind == ONE:
-        return "1"
-    left, right = e.left, e.right
-    if e.kind == SUM:
-        ls = format_expression(left)
-        if left.kind == SUM:
-            ls = f"({ls})"
-        return f"{ls}+{format_expression(right)}"
-    ls = format_expression(left)
-    if left.kind != ONE:
-        ls = f"({ls})"
-    rs = format_expression(right)
-    if right.kind == SUM:
-        rs = f"({rs})"
-    return ls + rs
+    out: list[str] = []
+    stack: list[Expression | str] = [e]  # popped from the end
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        left, right = item.left, item.right
+        if item.kind == ONE:
+            out.append("1")
+        elif item.kind == SUM:
+            stack += (right, "+", *_wrap(left, left.kind == SUM))
+        else:
+            stack += (*_wrap(right, right.kind == SUM), *_wrap(left, left.kind != ONE))
+    return "".join(out)
+
+
+def _wrap(node: Expression, paren: bool) -> tuple:
+    """node in parentheses if paren, reversed for pushing on a stack."""
+    return (")", node, "(") if paren else (node,)

@@ -91,6 +91,16 @@ def cli(*args):
     )
 
 
+def test_expr_command_at_1e5():
+    proc = cli("expr", "100000")
+    assert proc.returncode == 0, proc.stderr
+    text, value, ones = proc.stdout.splitlines()
+    assert value == "value 100000"
+    assert ones == f"ones {miscover.complexity_table(10**5)[10**5]}"
+    e = miscover.parse_expression(text)
+    assert (e.value, f"ones {e.ones}") == (100000, ones)
+
+
 def test_expr_graph_long_and_deep_input_has_no_traceback():
     # each of these once overflowed the recursive-descent parser's stack
     proc = cli("expr-graph", "(" * 1200 + "1" + ")" * 1200)

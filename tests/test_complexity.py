@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import miscover
@@ -13,6 +14,7 @@ from miscover import (
     enumerate_mis,
     graph_from_expression,
     max_partition_product,
+    min_separating_sets,
     minimal_expression,
     parse_expression,
 )
@@ -23,6 +25,65 @@ REFERENCE = Path(__file__).parent / "data" / "complexity_reference_1000.csv"
 
 def reference_pairs():
     return [tuple(map(int, line.split(","))) for line in REFERENCE.read_text().split()]
+
+
+def seed_scan(limit):
+    """The full scan complexity_table replaced: every summand i <= m/2 by
+    argmin, then every divisor up to sqrt(m) with strict <.  It assumes
+    nothing about complexities, so it is the reference for c and choice."""
+    c = np.zeros(limit + 1, dtype=np.int32)
+    choice = np.zeros(limit + 1, dtype=np.int32)
+    c[1] = 1
+    for m in range(2, limit + 1):
+        half = m // 2
+        sums = c[1 : half + 1] + c[m - 1 : m - half - 1 : -1]
+        k = int(np.argmin(sums))
+        best = int(sums[k])
+        pick = k + 1
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                cand = int(c[d] + c[m // d])
+                if cand < best:
+                    best = cand
+                    pick = -d
+            d += 1
+        c[m] = best
+        choice[m] = pick
+    return c, choice
+
+
+@pytest.fixture(scope="module")
+def seed_reference():
+    # the scan fills m in ascending order whatever the limit, so the table
+    # for any limit <= 10**5 is a prefix of this one (about 6 s)
+    return seed_scan(10**5)
+
+
+def test_table_is_bit_identical_to_seed_scan(seed_reference):
+    edges = {e for k in range(1, 17) for e in (2**k - 1, 2**k, 2**k + 1)}
+    for limit in sorted(set(range(1, 71)) | edges | {10**4, 10**5}):
+        ref_c, ref_choice = seed_scan(limit) if limit <= 70 else seed_reference
+        t = complexity_table(limit)
+        assert t.c.dtype == t.choice.dtype == np.int32
+        assert np.array_equal(t.c, ref_c[: limit + 1]), limit
+        assert np.array_equal(t.choice, ref_choice[: limit + 1]), limit
+
+
+def test_bounds_from_partition_products_to_1e5():
+    # c[m] >= min_separating_sets(m) for every m, and the largest m of
+    # complexity n is max_partition_product(n), well past the 8 800 table
+    limit = 10**5
+    c = complexity_table(limit).c[1:]
+    reach = [max_partition_product(n) for n in range(1, 40)]
+    # s(m) = min{n : max_partition_product(n) >= m}, checked at the edges
+    s = np.searchsorted(reach, np.arange(1, limit + 1)) + 1
+    for r in reach[:31]:  # max_partition_product(1..31), all below limit
+        assert s[r - 1] == min_separating_sets(r) and s[r] == min_separating_sets(r + 1)
+    assert (s <= c).all()
+    assert reach[30] < limit < reach[31]
+    for n in range(1, 32):
+        assert np.flatnonzero(c == n).max() + 1 == max_partition_product(n), n
 
 
 def test_table_spot_values():
@@ -38,12 +99,13 @@ def test_table_matches_reference_values():
     pairs = reference_pairs()
     assert len(pairs) == 1000
     assert all(t[m] == c for m, c in pairs)
+    assert complexity_csv(t) == REFERENCE.read_text()
 
 
 def test_table_rejects_bad_limits():
     with pytest.raises(ValueError):
         complexity_table(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds MAX_TABLE_LIMIT = 10000000"):
         complexity_table(10**7 + 1)
     t = complexity_table(5)
     with pytest.raises(IndexError):

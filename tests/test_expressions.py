@@ -194,3 +194,66 @@ def test_parser_takes_long_chains_and_deep_nesting():
     with pytest.raises(ExpressionSyntaxError) as exc:
         parse_expression("(" * 5000 + "1")
     assert exc.value.position == 5001
+
+
+def recursive_format(e):
+    """The recursive printer format_expression replaced: the reference for
+    its output bytes."""
+    if e.kind == "one":
+        return "1"
+    left, right = e.left, e.right
+    if e.kind == "sum":
+        ls = recursive_format(left)
+        if left.kind == "sum":
+            ls = f"({ls})"
+        return f"{ls}+{recursive_format(right)}"
+    ls = recursive_format(left)
+    if left.kind != "one":
+        ls = f"({ls})"
+    rs = recursive_format(right)
+    if right.kind == "sum":
+        rs = f"({rs})"
+    return ls + rs
+
+
+def test_format_matches_recursive_reference():
+    rng = random.Random(11)
+    trees = [random_tree(rng, rng.randint(1, 40)) for _ in range(3000)]
+    trees += [t for n in range(1, 7) for t in all_trees(n)]
+    for t in trees:
+        assert format_expression(t) == recursive_format(t)
+
+
+def test_equality_and_hash_follow_the_fields():
+    a = mul(add(one(), one()), add(one(), add(one(), one())))
+    b = parse_expression("(1+1)(1+1+1)")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != add(a.left, a.right)  # same children and value, other kind
+    assert a != mul(a.right, a.left)  # same value and ones, other shape
+    assert len({a, b, mul(a.right, a.left)}) == 2
+    assert (a == "(1+1)(1+1+1)") is False
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 1500, "(1+" * 1500 + "1" + ")" * 1500],
+    ids=["chain-1500", "nested-sum-1500"],
+)
+def test_deep_trees_format_compare_and_hash(text):
+    e = parse_expression(text)
+    assert e.ones == text.count("1")
+    printed = format_expression(e)
+    again = parse_expression(printed)
+    assert again == e and hash(again) == hash(e)
+    assert format_expression(again) == printed
+    # regroup op(1, op(1, 1)) at the bottom as op(op(1, 1), 1): every
+    # ancestor keeps its kind, value and ones, so only a full walk tells
+    spine = [e]
+    while spine[-1].right.kind != "one":
+        spine.append(spine[-1].right)
+    op = add if spine[-1].kind == "sum" else mul
+    changed = op(op(one(), one()), one())
+    for parent in reversed(spine[:-2]):
+        changed = op(parent.left, changed)
+    assert (changed.value, changed.ones) == (e.value, e.ones)
+    assert changed != e and e != changed
