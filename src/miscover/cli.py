@@ -17,7 +17,7 @@ from .closedforms import (
     perrin,
 )
 from .complexity import (
-    complexity_csv,
+    _csv_blocks,
     complexity_table,
     graph_from_expression,
     minimal_expression,
@@ -87,13 +87,13 @@ def _cmd_maxones(args) -> int:
 
 def _cmd_complexity(args) -> int:
     table = complexity_table(args.max)
-    csv = complexity_csv(table)
+    blocks = _csv_blocks(table, table.limit)
     if args.csv:
         with open(args.csv, "w") as f:
-            f.write(csv)
+            f.writelines(blocks)
         print(f"wrote {args.max} rows to {args.csv}", file=sys.stderr)
     else:
-        sys.stdout.write(csv)
+        sys.stdout.writelines(blocks)
     return 0
 
 

@@ -192,5 +192,12 @@ def complexity_csv(table: ComplexityTable, limit: int | None = None) -> str:
     limit = table.limit if limit is None else limit
     if not 1 <= limit <= table.limit:
         raise ValueError(f"limit must be in 1..{table.limit}, got {limit}")
-    values = table.c[1 : limit + 1].tolist()
-    return "".join(f"{m},{v}\n" for m, v in enumerate(values, 1))
+    return "".join(_csv_blocks(table, limit))
+
+
+def _csv_blocks(table: ComplexityTable, limit: int):
+    """The lines of complexity_csv in blocks of 2**16 rows, to stream."""
+    block = 1 << 16
+    for lo in range(1, limit + 1, block):
+        values = table.c[lo : min(lo + block, limit + 1)].tolist()
+        yield "".join(f"{m},{v}\n" for m, v in enumerate(values, lo))

@@ -11,14 +11,42 @@ here realize both directions of that bound:
 * a cover with n sets yields an n-vertex graph with at least m MISes
   (``graph_from_cover``).
 
-Ground elements are labeled 0..m-1 and sets are stored as bitmasks.
+Ground elements are labeled 0..m-1 and sets are stored as bitmasks.  Two
+bit primitives carry the module:
+
+* ``_transpose`` turns per-set element masks into per-element set masks
+  ("signatures") and back; it also turns MIS vertex masks into per-vertex
+  MIS masks.  It unpacks the masks into a byte matrix with numpy, so every
+  conversion is linear in the matrix size.
+* ``_disjointness`` gives, per set, the mask of the sets disjoint from it.
+  It is both the validator's separation table and the adjacency of
+  ``graph_from_cover``.
+
+Element x and y are separated exactly when some set containing y is
+disjoint from some set containing x, i.e. when the OR of the disjointness
+rows over the signature of x meets the signature of y.
+
+``minimal_cover`` needs no enumeration.  The extremal graph is a union of
+vertex-contiguous cliques, and in canonical order its MISes count in mixed
+radix with the first clique as the most significant digit: vertex t of a
+clique of size r lies in MIS x exactly when floor(x / P) mod r == t, with
+P the product of the later clique sizes.  Each set is that periodic
+pattern cut to m bits.
+
+``graph_from_cover`` validates once and builds no witness MISes: in a
+valid cover, distinct x and y are split by disjoint sets S containing x
+and T containing y, which are adjacent in the graph, so no independent
+set holds both and the MISes extending the signatures of x and y differ.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .closedforms import min_separating_sets
 from .graphs import (
@@ -28,14 +56,52 @@ from .graphs import (
     MisCapError,
     VertexSet,
     _bits_of,
+    _clique_sizes,
     _mis_masks,
-    extremal_graph,
 )
 
 
 def _is_index(x) -> bool:
     """A non-negative int that is not a bool (JSON true would pass as 1)."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _unpack(rows, width: int) -> np.ndarray:
+    """A len(rows) x width uint8 array holding bit j of rows[i] at [i, j]."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), np.uint8)
+    return np.unpackbits(
+        raw.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little"
+    )
+
+
+def _transpose(rows, width: int) -> list[int]:
+    """Bit-matrix transpose: bit i of result[j] is bit j of rows[i].
+
+    Rows are unpacked 2**16 at a time, which bounds the byte matrix when
+    they are many (MIS masks); the block size is a multiple of 8, so the
+    packed blocks join exactly.
+    """
+    step = 1 << 16
+    blocks = [
+        np.packbits(_unpack(rows[lo : lo + step], width).T, axis=1, bitorder="little")
+        for lo in range(0, len(rows), step)
+    ]
+    if not blocks:
+        return [0] * width
+    return [int.from_bytes(b.tobytes(), "little") for b in np.concatenate(blocks, axis=1)]
+
+
+def _disjointness(sets) -> list[int]:
+    """adj[i]: bitmask over the indices j of the sets disjoint from sets[i]."""
+    k = len(sets)
+    adj = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not sets[i] & sets[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 @dataclass(frozen=True)
@@ -58,14 +124,16 @@ class SeparatingCover:
             if isinstance(s, int):
                 mask = s
             else:
-                mask = 0
-                for x in s:
+                members = list(s)
+                for x in members:
                     if not _is_index(x) or x >= ground_size:
                         raise ValueError(
                             f"set {i}: element {x!r} is not an integer "
                             f"in 0..{ground_size - 1}"
                         )
-                    mask |= 1 << x
+                bits = np.zeros(max(members, default=-1) + 1, np.uint8)
+                bits[members] = 1
+                mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
             if mask == 0:
                 raise ValueError("empty sets are not allowed in a cover")
             if mask < 0 or mask >> ground_size:
@@ -78,7 +146,8 @@ class SeparatingCover:
         object.__setattr__(self, "sets", deduped)
 
     def set_members(self, i: int) -> tuple[int, ...]:
-        return tuple(_bits_of(self.sets[i]))
+        bits = _unpack([self.sets[i]], self.ground_size)[0]
+        return tuple(np.flatnonzero(bits).tolist())
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -117,48 +186,24 @@ def validate_cover(cover: SeparatingCover) -> CoverReport:
     Covering: the union of the sets is the whole ground set.  Separating:
     for every pair of distinct elements x, y there are disjoint stored
     sets S, T with x in S and y in T.  The first failing element (or pair,
-    scanned in lexicographic order) is reported.
+    scanned in lexicographic order) is reported.  Both read the element
+    signatures: x is uncovered when its signature is empty, and (x, y) is
+    split when the sets disjoint from some set containing x (``reach``)
+    include one containing y, which costs one int AND per pair.
     """
     m = cover.ground_size
-    sets = cover.sets
-    union = 0
-    for s in sets:
-        union |= s
-    uncovered = None
-    if union != (1 << m) - 1:
-        missing = ~union & ((1 << m) - 1)
-        uncovered = (missing & -missing).bit_length() - 1
-
-    # element_sets[x]: bitmask over set indices containing x;
-    # disjoint_with[i]: bitmask over set indices disjoint from set i.
-    k = len(sets)
-    element_sets = [0] * m
-    for i, s in enumerate(sets):
-        for x in _bits_of(s):
-            element_sets[x] |= 1 << i
-    disjoint_with = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and not sets[i] & sets[j]:
-                disjoint_with[i] |= 1 << j
-
-    unseparated = None
+    signature = _transpose(cover.sets, m)
+    adj = _disjointness(cover.sets)
+    uncovered = next((x for x, sig in enumerate(signature) if not sig), None)
+    covering = uncovered is None
     for x in range(m):
-        if unseparated:
-            break
+        reach = 0
+        for i in _bits_of(signature[x]):
+            reach |= adj[i]
         for y in range(x + 1, m):
-            for i in _bits_of(element_sets[x]):
-                if disjoint_with[i] & element_sets[y]:
-                    break
-            else:
-                unseparated = (x, y)
-                break
-    return CoverReport(
-        covering=uncovered is None,
-        separating=unseparated is None,
-        uncovered=uncovered,
-        unseparated=unseparated,
-    )
+            if not reach & signature[y]:
+                return CoverReport(covering, False, uncovered, (x, y))
+    return CoverReport(covering, True, uncovered)
 
 
 def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
@@ -190,20 +235,7 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     mis = _mis_masks(g.adj, g.full_mask, cap + 1)
     if len(mis) > cap:
         raise MisCapError(cap, cap)
-    return SeparatingCover(len(mis), _membership_sets(mis, g.n))
-
-
-def _membership_sets(mis: list[int], n: int) -> list[int]:
-    """For each vertex v < n, the bitmask of indices x with v in mis[x]."""
-    # accumulate in bytearrays: |= (1 << x) on a multi-megabit int would
-    # copy the whole integer once per MIS membership
-    nbytes = (len(mis) + 7) // 8 or 1
-    buffers = [bytearray(nbytes) for _ in range(n)]
-    for x, mask in enumerate(mis):
-        byte, bit = x >> 3, 1 << (x & 7)
-        for v in _bits_of(mask):
-            buffers[v][byte] |= bit
-    return [int.from_bytes(buf, "little") for buf in buffers]
+    return SeparatingCover(len(mis), _transpose(mis, g.n))
 
 
 def greedy_mis_witnesses(cover: SeparatingCover, graph: Graph | None = None) -> list[VertexSet]:
@@ -215,17 +247,8 @@ def greedy_mis_witnesses(cover: SeparatingCover, graph: Graph | None = None) -> 
     """
     if graph is None:
         graph = graph_from_cover(cover, check=False)
-    # probe set membership through bytes: s >> x on a large ground set
-    # would materialize a shifted copy of the whole mask per probe
-    nbytes = (cover.ground_size + 7) // 8 or 1
-    set_bytes = [s.to_bytes(nbytes, "little") for s in cover.sets]
     witnesses = []
-    for x in range(cover.ground_size):
-        byte, bit = x >> 3, x & 7
-        current = 0
-        for i, sb in enumerate(set_bytes):
-            if sb[byte] >> bit & 1:
-                current |= 1 << i
+    for current in _transpose(cover.sets, cover.ground_size):
         for v in range(graph.n):
             if not current >> v & 1 and not graph.adj[v] & current:
                 current |= 1 << v
@@ -240,7 +263,8 @@ def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
     intersecting, hence independent here, and extend to an MIS; the
     separation property keeps those ground_size MISes pairwise distinct,
     so the result has at least ground_size MISes.  With ``check`` the
-    cover is validated first and the witness distinctness is checked.
+    cover is validated first, which is all the distinctness needs (see
+    the module docstring).
     """
     if len(cover.sets) > MAX_VERTICES:
         raise ValueError(
@@ -250,40 +274,43 @@ def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
         report = validate_cover(cover)
         if not report.valid:
             raise CoverValidationError(report)
-    k = len(cover.sets)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not cover.sets[i] & cover.sets[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    g = Graph(k, tuple(adj))
-    if check:
-        witnesses = {w.bits for w in greedy_mis_witnesses(cover, g)}
-        if len(witnesses) != cover.ground_size:
-            raise ValueError("witness MISes collided; cover was not separating")
-    return g
+    return Graph(len(cover.sets), tuple(_disjointness(cover.sets)))
 
 
 def minimal_cover(m: int) -> SeparatingCover:
     """A separating cover on m elements with the minimum number of sets.
 
-    Takes the extremal graph on min_separating_sets(m) vertices, which has
-    at least m MISes, and builds the MIS cover of ``cover_from_graph`` over
-    only its first m MISes in canonical order; the enumeration stops there
-    rather than listing every MIS.  This is the restriction of the full
-    MIS cover to its first m elements, which keeps both properties:
-    surviving elements keep a containing set, surviving pairs keep their
-    disjoint witnesses.  Vertex sets left empty are dropped and
-    duplicates merged.
+    The MIS cover of the extremal graph on min_separating_sets(m)
+    vertices, which has at least m MISes, restricted to its first m MISes
+    in canonical order; the restriction keeps both properties (surviving
+    elements keep a containing set, surviving pairs keep their disjoint
+    witnesses).  Each vertex set is built in closed form as a periodic bit
+    pattern (see the module docstring), in O(m) bit operations, with no
+    enumeration.  Vertex sets left empty are dropped.
+
+    m is bounded by 10**6.  At that bound this call took about 15 ms of
+    CPU, and ``miscover minimal-cover 1000000 --out F`` about 5 s of wall
+    time and 253 MiB peak RSS, nearly all of it formatting 90 MB of JSON
+    (2-core x86, Python 3.11, numpy 2.4).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > 10**6:
         raise ValueError(f"m must be <= 10**6, got {m}")
-    g = extremal_graph(min_separating_sets(m))
-    mis = _mis_masks(g.adj, g.full_mask, m)
-    return SeparatingCover(m, [s for s in _membership_sets(mis, g.n) if s])
+    sizes = _clique_sizes(min_separating_sets(m))
+    keep = (1 << m) - 1
+    run = math.prod(sizes)
+    sets = []
+    for r in sizes:
+        run //= r  # product of the later clique sizes
+        for t in range(r):
+            s, period = ((1 << run) - 1) << (t * run), r * run
+            while period < m:
+                s |= s << period
+                period *= 2
+            if s & keep:
+                sets.append(s & keep)
+    return SeparatingCover(m, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +319,25 @@ def minimal_cover(m: int) -> SeparatingCover:
 
 
 def cover_to_json(cover: SeparatingCover) -> str:
-    obj = {
-        "ground_size": cover.ground_size,
-        "sets": [list(cover.set_members(i)) for i in range(len(cover.sets))],
-    }
-    return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
+    # one set at a time: lists of all members at once would take several
+    # times the size of the text (0.7 GiB of peak RSS at m = 10**6)
+    sets = ",".join(
+        "[" + ",".join(map(str, cover.set_members(i))) + "]"
+        for i in range(len(cover.sets))
+    )
+    return '{"ground_size":%d,"sets":[%s]}\n' % (cover.ground_size, sets)
 
 
 def cover_from_json(text: str) -> SeparatingCover:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"ground_size", "sets"}:
         raise ValueError("cover JSON must have exactly the keys ground_size, sets")
+    m = obj["ground_size"]
+    # reject before anything is sized by m
+    if _is_index(m) and m > DEFAULT_MIS_CAP:
+        raise ValueError(
+            f"ground_size {m} exceeds {DEFAULT_MIS_CAP}, the largest cover supported"
+        )
     sets = obj["sets"]
     if not isinstance(sets, list):
         raise ValueError(f"cover JSON sets must be a list, got {sets!r}")
@@ -310,7 +345,7 @@ def cover_from_json(text: str) -> SeparatingCover:
         # a bare int would be read as a bitmask, which the format does not allow
         if not isinstance(s, list):
             raise ValueError(f"set {i} must be a list of elements, got {s!r}")
-    return SeparatingCover(obj["ground_size"], sets)
+    return SeparatingCover(m, sets)
 
 
 def write_cover_json(cover: SeparatingCover, path) -> None:

@@ -446,25 +446,28 @@ def extremal_graph(n: int, variant: Variant = Variant.DEFAULT) -> Graph:
         raise ValueError(
             f"variant {variant.value!r} only applies when n = 3i+1 >= 4, got n={n}"
         )
-    i, r = divmod(n, 3)
-    if n == 1:
-        sizes = [1]
-    elif r == 0:
-        sizes = [3] * i
-    elif r == 2:
-        sizes = [3] * i + [2]
-    elif variant == Variant.K4:
-        sizes = [3] * (i - 1) + [4]
-    else:
-        sizes = [3] * (i - 1) + [2, 2]
     adj = [0] * n
     off = 0
-    for k in sizes:
+    for k in _clique_sizes(n, variant):
         block = ((1 << k) - 1) << off
         for v in range(off, off + k):
             adj[v] = block ^ (1 << v)
         off += k
     return Graph(n, tuple(adj))
+
+
+def _clique_sizes(n: int, variant: Variant = Variant.DEFAULT) -> list[int]:
+    """Clique sizes of extremal_graph(n, variant), first clique first."""
+    i, r = divmod(n, 3)
+    if n == 1:
+        return [1]
+    if r == 0:
+        return [3] * i
+    if r == 2:
+        return [3] * i + [2]
+    if variant == Variant.K4:
+        return [3] * (i - 1) + [4]
+    return [3] * (i - 1) + [2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_expr_command_at_1e5():
     assert (e.value, f"ones {e.ones}") == (100000, ones)
 
 
+def test_minimal_cover_command_at_1e5():
+    proc = cli("minimal-cover", "100000")
+    assert proc.returncode == 0, proc.stderr
+    cover = miscover.minimal_cover(100000)
+    assert len(cover.sets) == 32
+    assert proc.stdout == miscover.cover_to_json(cover)
+
+
 def test_expr_graph_long_and_deep_input_has_no_traceback():
     # each of these once overflowed the recursive-descent parser's stack
     proc = cli("expr-graph", "(" * 1200 + "1" + ")" * 1200)
@@ -201,6 +209,7 @@ def test_graph_from_cover_rejects_invalid(tmp_path, capsys):
         '{"ground_size":true,"sets":[[0]]}',
         '{"ground_size":3,"sets":[7]}',
         '{"ground_size":3,"sets":[[[0]]]}',
+        '{"ground_size":1000000000000,"sets":[[0]]}',
     ],
 )
 def test_malformed_cover_json_is_one_line_error(tmp_path, capsys, text):

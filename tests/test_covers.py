@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from conftest import all_graphs, random_graph_no_isolated
 from miscover import (
+    CoverReport,
     CoverValidationError,
     SeparatingCover,
     complete_graph,
@@ -23,7 +25,92 @@ from miscover import (
     validate_cover,
     write_cover_json,
 )
+from miscover.graphs import _bits_of
 from miscover.oracles import brute_min_separating_sets
+
+
+def seed_validate_cover(cover: SeparatingCover):
+    """The pair-by-pair validator that validate_cover replaced, as a reference."""
+    m = cover.ground_size
+    sets = cover.sets
+    union = 0
+    for s in sets:
+        union |= s
+    uncovered = None
+    if union != (1 << m) - 1:
+        missing = ~union & ((1 << m) - 1)
+        uncovered = (missing & -missing).bit_length() - 1
+
+    # element_sets[x]: bitmask over set indices containing x;
+    # disjoint_with[i]: bitmask over set indices disjoint from set i.
+    k = len(sets)
+    element_sets = [0] * m
+    for i, s in enumerate(sets):
+        for x in _bits_of(s):
+            element_sets[x] |= 1 << i
+    disjoint_with = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if i != j and not sets[i] & sets[j]:
+                disjoint_with[i] |= 1 << j
+
+    unseparated = None
+    for x in range(m):
+        if unseparated:
+            break
+        for y in range(x + 1, m):
+            for i in _bits_of(element_sets[x]):
+                if disjoint_with[i] & element_sets[y]:
+                    break
+            else:
+                unseparated = (x, y)
+                break
+    return CoverReport(
+        covering=uncovered is None,
+        separating=unseparated is None,
+        uncovered=uncovered,
+        unseparated=unseparated,
+    )
+
+
+def seed_cover_to_json(cover: SeparatingCover) -> str:
+    """The bit-by-bit serializer that cover_to_json replaced, as a reference."""
+    obj = {
+        "ground_size": cover.ground_size,
+        "sets": [list(_bits_of(cover.sets[i])) for i in range(len(cover.sets))],
+    }
+    return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
+
+
+def seed_mask(elements) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def random_cover_lists(rng: random.Random, m: int, k: int) -> list[list[int]]:
+    """k random element lists on 0..m-1, some with a planted defect.
+
+    The defect is an element dropped from every set (uncovered) or an
+    element y given exactly the sets of some x < y (a duplicate signature,
+    so (x, y) cannot be separated).  Empty lists are dropped; elements come
+    unordered and sometimes repeated.
+    """
+    density = rng.choice((0.2, 0.35, 0.5))
+    sets = [[x for x in range(m) if rng.random() < density] for _ in range(k)]
+    defect = rng.randrange(3)
+    if defect == 1:
+        x = rng.randrange(m)
+        sets = [[e for e in s if e != x] for s in sets]
+    elif defect == 2 and m >= 2:
+        x, y = sorted(rng.sample(range(m), 2))
+        sets = [[e for e in s if e != y] + [y] * (x in s) for s in sets]
+    for s in sets:
+        rng.shuffle(s)
+        if s and rng.random() < 0.1:
+            s.append(s[0])
+    return [s for s in sets if s]
 
 
 def test_construction_dedups_and_rejects_bad_sets():
@@ -134,7 +221,30 @@ def test_witnesses_are_distinct_maximal_sets():
             assert is_maximal_independent(h, w.bits)
 
 
+def test_validate_cover_and_json_match_seed_code_on_random_covers():
+    rng = random.Random(2024)
+    outcomes = {"valid": 0, "uncovered": 0, "unseparated": 0, "wide": 0}
+    for _ in range(2000):
+        m = rng.randint(1, 40)
+        lists = random_cover_lists(rng, m, rng.randint(1, 80))
+        c = SeparatingCover(m, lists)
+        assert c.sets == tuple(dict.fromkeys(map(seed_mask, lists)))
+        report = validate_cover(c)
+        assert report == seed_validate_cover(c)
+        text = cover_to_json(c)
+        assert text == seed_cover_to_json(c)
+        assert cover_from_json(text) == c
+        outcomes["valid"] += report.valid
+        outcomes["uncovered"] += not report.covering
+        outcomes["unseparated"] += report.covering and not report.separating
+        outcomes["wide"] += len(c.sets) > 64
+    # each kind of report, and signatures past one 64-bit word, occur often
+    assert min(outcomes.values()) >= 200, outcomes
+
+
 def test_witnesses_distinct_for_minimal_and_handmade_covers():
+    # graph_from_cover(check=True) relies on this after validating: the
+    # witnesses of a valid cover are distinct, so it does not build them
     for m in (1, 2, 5, 9, 10, 27, 50):
         c = minimal_cover(m)
         assert len({w.bits for w in greedy_mis_witnesses(c)}) == m
@@ -159,12 +269,23 @@ def test_minimal_cover_sizes_and_validity():
 
 def test_minimal_cover_is_truncated_full_cover():
     # the reference builds the whole MIS cover of the extremal graph and
-    # restricts it to the first m elements
-    for m in list(range(1, 301)) + [1000, 10_000]:
+    # restricts it to the first m elements; the closed form changes shape
+    # where the extremal graph does, at 3^i, 4*3^(i-1) and 2*3^i
+    boundaries = {
+        b + d
+        for i in range(1, 11)
+        for b in (3**i, 4 * 3 ** (i - 1), 2 * 3**i)
+        for d in (-1, 0, 1)
+    }
+    sizes = set(range(1, 301)) | {1000, 10_000} | {m for m in boundaries if m <= 10**5}
+    for m in sorted(sizes):
         full = cover_from_graph(extremal_graph(min_separating_sets(m)))
         keep = (1 << m) - 1
         expected = SeparatingCover(m, [s & keep for s in full.sets if s & keep])
-        assert minimal_cover(m) == expected
+        got = minimal_cover(m)
+        assert got == expected
+        if m <= 10_000:
+            assert cover_to_json(got) == seed_cover_to_json(expected)
 
 
 def test_minimal_cover_is_optimal_up_to_12():
