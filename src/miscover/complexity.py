@@ -197,7 +197,6 @@ def complexity_csv(table: ComplexityTable, limit: int | None = None) -> str:
 
 def _csv_blocks(table: ComplexityTable, limit: int):
     """The lines of complexity_csv in blocks of 2**16 rows, to stream."""
-    block = 1 << 16
-    for lo in range(1, limit + 1, block):
-        values = table.c[lo : min(lo + block, limit + 1)].tolist()
+    for lo in range(1, limit + 1, 1 << 16):
+        values = table.c[lo : min(lo + (1 << 16), limit + 1)].tolist()
         yield "".join(f"{m},{v}\n" for m, v in enumerate(values, lo))

@@ -16,8 +16,10 @@ bit primitives carry the module:
 
 * ``_transpose`` turns per-set element masks into per-element set masks
   ("signatures") and back; it also turns MIS vertex masks into per-vertex
-  MIS masks.  It unpacks the masks into a byte matrix with numpy, so every
-  conversion is linear in the matrix size.
+  MIS masks.  It unpacks the masks into a byte matrix with numpy, one
+  bounded tile at a time and only up to the longest mask, so a conversion
+  is linear in the masks' size and a sparse cover on a large ground set
+  costs little more than its signature list.
 * ``_disjointness`` gives, per set, the mask of the sets disjoint from it.
   It is both the validator's separation table and the adjacency of
   ``graph_from_cover``.
@@ -66,30 +68,35 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _unpack(rows, width: int) -> np.ndarray:
-    """A len(rows) x width uint8 array holding bit j of rows[i] at [i, j]."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), np.uint8)
-    return np.unpackbits(
-        raw.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little"
-    )
-
-
 def _transpose(rows, width: int) -> list[int]:
     """Bit-matrix transpose: bit i of result[j] is bit j of rows[i].
 
-    Rows are unpacked 2**16 at a time, which bounds the byte matrix when
-    they are many (MIS masks); the block size is a multiple of 8, so the
-    packed blocks join exactly.
+    Columns past the longest row are zero and cost nothing.  The rest is
+    unpacked one tile at a time: at most 2**16 rows (MIS masks can be
+    millions) by as many columns as keep the tile near 16 MiB (sets can
+    span 10**7 elements).  With more than one column tile, each row is
+    converted to bytes once, in its own length, so a sparse row on a large
+    ground set costs its own size, not the width, in every tile.
     """
-    step = 1 << 16
-    blocks = [
-        np.packbits(_unpack(rows[lo : lo + step], width).T, axis=1, bitorder="little")
-        for lo in range(0, len(rows), step)
-    ]
-    if not blocks:
-        return [0] * width
-    return [int.from_bytes(b.tobytes(), "little") for b in np.concatenate(blocks, axis=1)]
+    used = min(width, max((r.bit_length() for r in rows), default=0))
+    height = 1 << 16  # a multiple of 8, so the packed row blocks join exactly
+    step = max(8, ((1 << 24) // max(1, min(len(rows), height))) & ~7)
+    wide = used > step  # several column tiles
+    rows = [r.to_bytes((r.bit_length() + 7) // 8, "little") for r in rows] if wide else rows
+    out = [0] * width
+    for lo in range(0, used, step):
+        n = min(step, used - lo)
+        a, b = lo // 8, (lo + n + 7) // 8
+        blocks = []
+        for r0 in range(0, len(rows), height):
+            raw = b"".join(
+                r[a:b].ljust(b - a, b"\0") if wide else r.to_bytes(b, "little")
+                for r in rows[r0 : r0 + height]
+            )
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, b - a), 1, n, "little")
+            blocks.append(np.packbits(bits.T, axis=1, bitorder="little"))
+        out[lo : lo + n] = [int.from_bytes(c, "little") for c in np.concatenate(blocks, 1)]
+    return out
 
 
 def _disjointness(sets) -> list[int]:
@@ -125,15 +132,16 @@ class SeparatingCover:
                 mask = s
             else:
                 members = list(s)
+                bad = [x for x in members if not _is_index(x) or x >= ground_size]
+                if bad:
+                    raise ValueError(
+                        f"set {i}: element {bad[0]!r} is not an integer in 0..{ground_size - 1}"
+                    )
+                # mask |= 1 << x would copy the whole int per element
+                buf = bytearray((max(members, default=-1) + 8) // 8)
                 for x in members:
-                    if not _is_index(x) or x >= ground_size:
-                        raise ValueError(
-                            f"set {i}: element {x!r} is not an integer "
-                            f"in 0..{ground_size - 1}"
-                        )
-                bits = np.zeros(max(members, default=-1) + 1, np.uint8)
-                bits[members] = 1
-                mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+                    buf[x >> 3] |= 1 << (x & 7)
+                mask = int.from_bytes(buf, "little")
             if mask == 0:
                 raise ValueError("empty sets are not allowed in a cover")
             if mask < 0 or mask >> ground_size:
@@ -141,13 +149,15 @@ class SeparatingCover:
                     f"set with elements outside 0..{ground_size - 1} is not allowed"
                 )
             masks.append(mask)
-        deduped = tuple(dict.fromkeys(masks))
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "sets", deduped)
+        object.__setattr__(self, "sets", tuple(dict.fromkeys(masks)))
 
     def set_members(self, i: int) -> tuple[int, ...]:
-        bits = _unpack([self.sets[i]], self.ground_size)[0]
-        return tuple(np.flatnonzero(bits).tolist())
+        s = self.sets[i]
+        raw = np.frombuffer(s.to_bytes((s.bit_length() + 7) // 8, "little"), np.uint8)
+        nonzero = np.flatnonzero(raw)  # unpack only the bytes holding members
+        pos = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
+        return tuple((nonzero[pos >> 3] * 8 + (pos & 7)).tolist())
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -195,15 +205,14 @@ def validate_cover(cover: SeparatingCover) -> CoverReport:
     signature = _transpose(cover.sets, m)
     adj = _disjointness(cover.sets)
     uncovered = next((x for x, sig in enumerate(signature) if not sig), None)
-    covering = uncovered is None
     for x in range(m):
         reach = 0
         for i in _bits_of(signature[x]):
             reach |= adj[i]
         for y in range(x + 1, m):
             if not reach & signature[y]:
-                return CoverReport(covering, False, uncovered, (x, y))
-    return CoverReport(covering, True, uncovered)
+                return CoverReport(uncovered is None, False, uncovered, (x, y))
+    return CoverReport(uncovered is None, True, uncovered)
 
 
 def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
@@ -225,13 +234,12 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
             "graph must have at least one vertex: the empty graph's sole "
             "MIS would leave a one-element ground set with no sets at all"
         )
-    if g.n >= 2:
-        for v in range(g.n):
-            if g.adj[v] == 0:
-                raise ValueError(
-                    f"vertex {v} is isolated; its MIS-membership set would "
-                    f"intersect every other and the cover could not separate"
-                )
+    isolated = [v for v in range(g.n) if not g.adj[v]] if g.n >= 2 else []
+    if isolated:
+        raise ValueError(
+            f"vertex {isolated[0]} is isolated; its MIS-membership set would "
+            f"intersect every other and the cover could not separate"
+        )
     mis = _mis_masks(g.adj, g.full_mask, cap + 1)
     if len(mis) > cap:
         raise MisCapError(cap, cap)
@@ -303,13 +311,12 @@ def minimal_cover(m: int) -> SeparatingCover:
     sets = []
     for r in sizes:
         run //= r  # product of the later clique sizes
-        for t in range(r):
+        for t in range(min(r, -(-m // run))):  # vertex sets left empty are dropped
             s, period = ((1 << run) - 1) << (t * run), r * run
             while period < m:
                 s |= s << period
                 period *= 2
-            if s & keep:
-                sets.append(s & keep)
+            sets.append(s & keep)
     return SeparatingCover(m, sets)
 
 
@@ -319,8 +326,7 @@ def minimal_cover(m: int) -> SeparatingCover:
 
 
 def cover_to_json(cover: SeparatingCover) -> str:
-    # one set at a time: lists of all members at once would take several
-    # times the size of the text (0.7 GiB of peak RSS at m = 10**6)
+    # one set at a time: all member lists at once took 0.7 GiB at m = 10**6
     sets = ",".join(
         "[" + ",".join(map(str, cover.set_members(i))) + "]"
         for i in range(len(cover.sets))

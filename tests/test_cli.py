@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,38 @@ def test_minimal_cover_command_at_1e5():
     cover = miscover.minimal_cover(100000)
     assert len(cover.sets) == 32
     assert proc.stdout == miscover.cover_to_json(cover)
+
+
+def test_sparse_cover_on_large_ground_set_stays_small(tmp_path):
+    # single-element sets on 10**7 elements: reports and errors come from
+    # the first elements, in the memory of a 10**7-entry signature list,
+    # not of a sets x elements bit matrix (1.5 GB to 10 GB here)
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    def run_capped(command, k):
+        path = tmp_path / f"sparse{k}.json"
+        path.write_text(json.dumps({"ground_size": 10**7, "sets": [[x] for x in range(k)]}))
+        # one BLAS thread: the limit is for this program's arrays, not for
+        # per-core BLAS buffers
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(miscover.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "miscover", command, "--cover", str(path)],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+
+    proc = run_capped("validate-cover", 300)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == "covering no\nseparating no\nuncovered 300\nunseparated 0 300\n"
+    proc = run_capped("graph-from-cover", 128)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: not covering: element 128 lies in no set\n"
 
 
 def test_expr_graph_long_and_deep_input_has_no_traceback():

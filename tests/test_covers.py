@@ -25,6 +25,7 @@ from miscover import (
     validate_cover,
     write_cover_json,
 )
+from miscover.covers import _transpose
 from miscover.graphs import _bits_of
 from miscover.oracles import brute_min_separating_sets
 
@@ -240,6 +241,43 @@ def test_validate_cover_and_json_match_seed_code_on_random_covers():
         outcomes["wide"] += len(c.sets) > 64
     # each kind of report, and signatures past one 64-bit word, occur often
     assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize(
+    "k, width, span",
+    [
+        (0, 5, 5),  # no rows
+        (5, 300, 300),  # one tile
+        (70_000, 20, 20),  # taller than one block of rows
+        (4000, 12_000, 12_000),  # wider than one tile of columns
+        (40, 2_000_000, 1000),  # sparse rows far out on a wide ground set
+    ],
+)
+def test_transpose_matches_bitwise_reference(k, width, span):
+    rng = random.Random(k + width)
+    rows = []
+    for _ in range(k):
+        base = rng.randrange(width - span + 1)
+        bits = rng.sample(range(span), rng.randint(0, min(span, 6)))
+        rows.append(seed_mask(base + b for b in bits))
+    expected = [0] * width
+    for i, r in enumerate(rows):
+        for j in _bits_of(r):
+            expected[j] |= 1 << i
+    assert _transpose(rows, width) == expected
+    assert _transpose(expected, k) == rows
+
+
+def test_sparse_cover_on_large_ground_set_matches_seed_code():
+    # single-element sets far from 0: signatures, members and masks must
+    # cost the sets' spans, not ground_size per set
+    m = 10**6
+    lists = [[m - 1 - 7 * i] for i in range(60)] + [[5, m - 2, m - 1]]
+    c = SeparatingCover(m, lists)
+    assert c.sets == tuple(map(seed_mask, lists))
+    assert validate_cover(c) == seed_validate_cover(c)
+    assert [list(c.set_members(i)) for i in range(len(c.sets))] == [sorted(x) for x in lists]
+    assert cover_to_json(c) == seed_cover_to_json(c)
 
 
 def test_witnesses_distinct_for_minimal_and_handmade_covers():
