@@ -94,7 +94,7 @@ def _transpose(rows, width: int) -> list[int]:
                 for r in rows[r0 : r0 + height]
             )
             bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, b - a), 1, n, "little")
-            blocks.append(np.packbits(bits.T, axis=1, bitorder="little"))
+            blocks.append(np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little"))
         out[lo : lo + n] = [int.from_bytes(c, "little") for c in np.concatenate(blocks, 1)]
     return out
 
