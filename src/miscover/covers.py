@@ -18,8 +18,8 @@ bit primitives carry the module:
   ("signatures") and back; it also turns MIS vertex masks into per-vertex
   MIS masks.  It unpacks the masks into a byte matrix with numpy, one
   bounded tile at a time and only up to the longest mask, so a conversion
-  is linear in the masks' size and a sparse cover on a large ground set
-  costs little more than its signature list.
+  costs about the size of the masks and of the result, never sets times
+  ground size.
 * ``_disjointness`` gives, per set, the mask of the sets disjoint from it.
   It is both the validator's separation table and the adjacency of
   ``graph_from_cover``.
