@@ -29,7 +29,6 @@ from .covers import (
     cover_from_json,
     cover_to_json,
     graph_from_cover,
-    greedy_mis_witnesses,
     minimal_cover,
     read_cover_json,
     validate_cover,
@@ -80,6 +79,7 @@ from .oracles import (
     brute_min_separating_sets,
     canonical_form,
     extremal_graphs_up_to_iso,
+    greedy_mis_witnesses,
     run_verification,
 )
 

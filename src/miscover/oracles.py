@@ -5,9 +5,11 @@ certifies.  Partition products come from exhaustive partition search, MIS
 maxima from scanning every labeled graph (counting maximal sets straight
 from the definition, vectorized across all graphs at once), the MISes of
 one graph from testing every vertex subset the same way, separating
-minima from exhaustive family search, and complexity from breadth-first
-reachable-value sets.  ``run_verification`` compares each oracle with its
-closed-form or DP counterpart and reports agreement.
+minima from exhaustive family search, complexity from breadth-first
+reachable-value sets, and one MIS per element of a cover's disjointness
+graph from a greedy extension over a pairwise adjacency.
+``run_verification`` compares each oracle with its closed-form or DP
+counterpart and reports agreement.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
 from .covers import SeparatingCover, validate_cover
-from .graphs import Graph, Variant, extremal_graph, from_edges
+from .graphs import Graph, Variant, VertexSet, extremal_graph, from_edges
 
 MAX_SCAN_VERTICES = 7  # 2**21 graphs; n=8 (2**28) only behind allow_large
 
@@ -108,6 +110,27 @@ def brute_mis_masks(g: Graph) -> list[int]:
         inside = (subsets >> v & 1).astype(bool)
         ok &= inside != ((subsets & row) != 0)
     return [int(s) for s in np.flatnonzero(ok)]
+
+
+def greedy_mis_witnesses(cover: SeparatingCover) -> list[VertexSet]:
+    """One MIS of graph_from_cover(cover) per ground element, all distinct.
+
+    Element x starts from the independent set {sets containing x} and is
+    extended greedily by ascending vertex index.  Distinctness is what
+    makes the constructed graph have at least ground_size MISes.  The
+    graph's adjacency (sets adjacent exactly when disjoint) is built here
+    pair by pair, apart from the library's.
+    """
+    sets = cover.sets
+    adj = [sum(1 << j for j, t in enumerate(sets) if not s & t) for s in sets]
+    witnesses = []
+    for x in range(cover.ground_size):
+        current = sum(1 << i for i, s in enumerate(sets) if s >> x & 1)
+        for v in range(len(sets)):
+            if not current >> v & 1 and not adj[v] & current:
+                current |= 1 << v
+        witnesses.append(VertexSet(current, len(sets)))
+    return witnesses
 
 
 def brute_min_separating_sets(m: int, mode: str = "direct") -> int:

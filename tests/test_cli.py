@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import miscover
 import miscover.graphs
@@ -243,7 +247,11 @@ def test_graph_from_cover_rejects_invalid(tmp_path, capsys):
         '{"ground_size":3,"sets":[7]}',
         '{"ground_size":3,"sets":[[[0]]]}',
         '{"ground_size":1000000000000,"sets":[[0]]}',
+        # nested past json's recursion limit, in the sets and at the top
+        '{"ground_size":3,"sets":' + "[" * 200_000 + "]" * 200_000 + "}",
+        "[" * 200_000 + "]" * 200_000,
     ],
+    ids=lambda text: text if len(text) < 80 else f"nested-{len(text)}",
 )
 def test_malformed_cover_json_is_one_line_error(tmp_path, capsys, text):
     path = tmp_path / "c.json"
@@ -254,6 +262,61 @@ def test_malformed_cover_json_is_one_line_error(tmp_path, capsys, text):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "shift count" not in err
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.sampled_from([10**7 + 1, 2**63, -(2**63) - 1, 10**30])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=30,
+)
+_element_lists = st.lists(st.lists(_json_leaves | st.integers(0, 12), max_size=6), max_size=8)
+
+
+@st.composite
+def _cover_texts(draw):
+    """JSON texts near and far from the cover format, some nested deeply."""
+    kind = draw(st.sampled_from(["cover", "keys", "value", "deep", "raw"]))
+    if kind == "cover":  # both keys, the values mostly well typed
+        size = draw(st.integers(0, 12) | _json_leaves)
+        return json.dumps({"ground_size": size, "sets": draw(_element_lists | _json_values)})
+    if kind == "keys":  # missing or extra keys
+        keys = draw(st.sets(st.sampled_from(["ground_size", "sets", "extra"])))
+        return json.dumps({k: draw(_json_values) for k in keys})
+    if kind == "deep":
+        depth = draw(st.integers(1, 3000) | st.just(200_000))
+        return '{"ground_size":3,"sets":[' + "[" * depth + "0" + "]" * depth + "]}"
+    if kind == "raw":  # not JSON at all, or cut short
+        return draw(st.text(max_size=40))
+    return json.dumps(draw(_json_values))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_cover_texts())
+def test_fuzzed_cover_json_gives_exit_code_and_one_line(tmp_path, text):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    for command in ("validate-cover", "graph-from-cover"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--cover", str(path)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+        if code == 0:
+            assert err == "" and out.getvalue()
 
 
 def test_missing_file_is_domain_error(capsys):

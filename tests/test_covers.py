@@ -17,7 +17,6 @@ from miscover import (
     extremal_graph,
     from_edges,
     graph_from_cover,
-    greedy_mis_witnesses,
     is_maximal_independent,
     minimal_cover,
     min_separating_sets,
@@ -25,9 +24,9 @@ from miscover import (
     validate_cover,
     write_cover_json,
 )
-from miscover.covers import _transpose
+from miscover.covers import _disjointness, _transpose
 from miscover.graphs import _bits_of
-from miscover.oracles import brute_min_separating_sets
+from miscover.oracles import brute_min_separating_sets, greedy_mis_witnesses
 
 
 def seed_validate_cover(cover: SeparatingCover):
@@ -59,9 +58,10 @@ def seed_validate_cover(cover: SeparatingCover):
     for x in range(m):
         if unseparated:
             break
+        rows = [disjoint_with[i] for i in _bits_of(element_sets[x])]
         for y in range(x + 1, m):
-            for i in _bits_of(element_sets[x]):
-                if disjoint_with[i] & element_sets[y]:
+            for row in rows:
+                if row & element_sets[y]:
                     break
             else:
                 unseparated = (x, y)
@@ -72,6 +72,17 @@ def seed_validate_cover(cover: SeparatingCover):
         uncovered=uncovered,
         unseparated=unseparated,
     )
+
+
+def seed_disjointness(sets) -> list[int]:
+    """The pairwise mask-AND adjacency that _disjointness replaced, as a reference."""
+    adj = [0] * len(sets)
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if not sets[i] & sets[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 def seed_cover_to_json(cover: SeparatingCover) -> str:
@@ -124,7 +135,21 @@ def test_construction_dedups_and_rejects_bad_sets():
     for bad in ([-1], [0.5], ["a"], [True]):
         with pytest.raises(ValueError, match="element"):
             SeparatingCover(2, [bad])
-    for bad_size in (-1, "3", True):
+    # numpy's int64 cast would accept True, 1.0 and NaN as ints; the message
+    # names the first bad element in list order
+    for members, bad in (
+        ([1, True], "True"),
+        ([0, 1.0], "1.0"),
+        ([float("nan"), 0], "nan"),
+        ([1, 2**63], str(2**63)),
+        ([1, -(2**64)], str(-(2**64))),
+        ([1, 2, 0, "a", -1], "'a'"),
+        ([[0]], "[0]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            SeparatingCover(3, [[0], members])
+        assert str(exc.value) == f"set 1: element {bad} is not an integer in 0..2"
+    for bad_size in (-1, "3", True, 2**63 + 1):
         with pytest.raises(ValueError, match="ground_size"):
             SeparatingCover(bad_size, [])
 
@@ -216,7 +241,7 @@ def test_witnesses_are_distinct_maximal_sets():
         g = random_graph_no_isolated(rng, rng.randint(2, 7))
         c = cover_from_graph(g)
         h = graph_from_cover(c, check=False)
-        witnesses = greedy_mis_witnesses(c, h)
+        witnesses = greedy_mis_witnesses(c)
         assert len({w.bits for w in witnesses}) == c.ground_size
         for w in witnesses:
             assert is_maximal_independent(h, w.bits)
@@ -232,6 +257,7 @@ def test_validate_cover_and_json_match_seed_code_on_random_covers():
         assert c.sets == tuple(dict.fromkeys(map(seed_mask, lists)))
         report = validate_cover(c)
         assert report == seed_validate_cover(c)
+        assert _disjointness(_transpose(c.sets, m), len(c.sets)) == seed_disjointness(c.sets)
         text = cover_to_json(c)
         assert text == seed_cover_to_json(c)
         assert cover_from_json(text) == c
@@ -278,6 +304,33 @@ def test_sparse_cover_on_large_ground_set_matches_seed_code():
     assert validate_cover(c) == seed_validate_cover(c)
     assert [list(c.set_members(i)) for i in range(len(c.sets))] == [sorted(x) for x in lists]
     assert cover_to_json(c) == seed_cover_to_json(c)
+    # single-element sets near the end plus a covered 0, whose sep is built
+    c = SeparatingCover(m, [[0]] + [[m - 1 - 3 * i] for i in range(150)])
+    assert _disjointness(_transpose(c.sets, m), len(c.sets)) == seed_disjointness(c.sets)
+    assert validate_cover(c) == seed_validate_cover(c)
+
+
+@pytest.mark.parametrize("m", [750, 3000, 10_000])
+def test_validate_minimal_cover_and_planted_defects_match_seed_code(m):
+    # valid, then one element dropped from every set, then y given exactly
+    # the sets of some x < y; each defect is the first failure reported
+    rng = random.Random(m)
+    c = minimal_cover(m)
+    assert validate_cover(c) == seed_validate_cover(c) == CoverReport(True, True)
+    u = rng.randrange(m)
+    drop = SeparatingCover(m, [s & ~(1 << u) for s in c.sets if s & ~(1 << u)])
+    report = validate_cover(drop)
+    assert report == seed_validate_cover(drop)
+    assert report.uncovered == u
+    x, y = sorted(rng.sample(range(m), 2))
+    twin = SeparatingCover(m, [s & ~(1 << y) | (s >> x & 1) << y for s in c.sets])
+    report = validate_cover(twin)
+    assert report == seed_validate_cover(twin) == CoverReport(True, False, None, (x, y))
+
+
+def test_validate_minimal_cover_at_1e5():
+    # about 1.4 s; the pair-by-pair reference would take minutes here
+    assert validate_cover(minimal_cover(10**5)).valid
 
 
 def test_witnesses_distinct_for_minimal_and_handmade_covers():
