@@ -17,16 +17,15 @@ Ground elements are labeled 0..m-1 and sets are stored as bitmasks.
 MIS masks.  It unpacks the masks into a byte matrix with numpy, one
 bounded tile at a time and only up to the longest mask, so a conversion
 costs about the size of the masks and of the result, never sets times
-ground size.  The rest reads the signatures:
+ground size.
 
-* ``_disjointness`` gives, per set, the mask of the sets disjoint from it,
-  which is also the adjacency of ``graph_from_cover``.  Sets i and j meet
-  exactly when some signature holds both, so the sets meeting i are the
-  OR of the distinct signatures containing i.
-* separation: ``sep[i]`` is the element mask of the sets disjoint from
-  set i, and x is separated from every other element exactly when the OR
-  of ``sep[i]`` over the signature of x holds all of them.  One big-int OR
-  per set containing x replaces a test per pair.
+``_disjointness`` gives, per set, the mask of the sets disjoint from it,
+by one mask AND per pair of sets; it is also the adjacency of
+``graph_from_cover``.  Separation reads it together with the signatures:
+``sep[i]`` is the element mask of the sets disjoint from set i, and x is
+separated from every other element exactly when the OR of ``sep[i]`` over
+the signature of x holds all of them.  One big-int OR per set containing
+x replaces a test per pair of elements.
 
 ``minimal_cover`` needs no enumeration.  The extremal graph is a union of
 vertex-contiguous cliques, and in canonical order its MISes count in mixed
@@ -43,8 +42,8 @@ set holds both and the MISes extending the signatures of x and y differ.
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -100,35 +99,30 @@ def _transpose(rows, width: int) -> list[int]:
     return out
 
 
-def _disjointness(signature, k: int) -> list[int]:
-    """adj[i]: mask over the indices j of the k sets disjoint from set i."""
-    meet = [0] * k
-    # zeros go first: Python hashes 2**i as 2**(i % 61), so one-bit
-    # signatures crowd the slots near 0's, and 10**7 uncovered elements
-    # probing past them took 2 s
-    for sig in set(filter(None, signature)):
-        for i in _bits_of(sig):
-            meet[i] |= sig
-    full = (1 << k) - 1
-    return [full & ~row for row in meet]
+def _disjointness(sets) -> list[int]:
+    """adj[i]: bitmask over the indices j of the sets disjoint from sets[i]."""
+    adj = [0] * len(sets)
+    for (i, s), (j, t) in itertools.combinations(enumerate(sets), 2):
+        if not s & t:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
 
 
 def _members_mask(i: int, members: list, ground_size: int) -> int:
     """Element mask of set i's member list, checked and scattered by numpy.
 
-    numpy's int64 cast reads True as 1 and 0.5 as 0, so a list holding any
-    type but int goes to the Python loop, as does one out of range; that
-    loop only names the first bad element.
+    numpy's int64 cast reads True as 1 and 0.5 as 0, so the types and the
+    range are checked first; a list failing either goes to the Python loop,
+    which only names the first bad element.  An empty list gives 0.
     """
     types = set(map(type, members))
-    a = None
-    if bool not in types and all(issubclass(t, int) for t in types):
-        with contextlib.suppress(OverflowError):  # past int64, so past the ground size
-            a = np.array(members, np.int64)
-    if a is None or a.min() < 0 or a.max() >= ground_size:
+    ints = bool not in types and all(issubclass(t, int) for t in types)
+    if not (ints and min(members, default=0) >= 0 and max(members, default=-1) < ground_size):
         bad = next(x for x in members if not _is_index(x) or x >= ground_size)
         raise ValueError(f"set {i}: element {bad!r} is not an integer in 0..{ground_size - 1}")
-    buf = np.zeros(int(a.max()) // 8 + 1, np.uint8)  # sized by the set, not the ground set
+    a = np.array(members, np.int64)
+    buf = np.zeros((a.max(initial=-1) >> 3) + 1, np.uint8)  # sized by the set, not the ground set
     np.bitwise_or.at(buf, a >> 3, np.left_shift(1, a & 7).astype(np.uint8))
     return int.from_bytes(buf.tobytes(), "little")
 
@@ -152,17 +146,11 @@ class SeparatingCover:
             raise ValueError(f"ground_size must be an int in 0..2**63, got {ground_size!r}")
         masks = []
         for i, s in enumerate(sets):
-            if isinstance(s, int):
-                mask = s
-            else:
-                members = list(s)
-                mask = _members_mask(i, members, ground_size) if members else 0
+            mask = s if isinstance(s, int) else _members_mask(i, list(s), ground_size)
             if mask == 0:
                 raise ValueError("empty sets are not allowed in a cover")
             if mask < 0 or mask >> ground_size:
-                raise ValueError(
-                    f"set with elements outside 0..{ground_size - 1} is not allowed"
-                )
+                raise ValueError(f"set with elements outside 0..{ground_size - 1} is not allowed")
             masks.append(mask)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "sets", tuple(dict.fromkeys(masks)))
@@ -221,17 +209,17 @@ def validate_cover(cover: SeparatingCover) -> CoverReport:
     first needed, so a failure on the first elements costs little.  The
     scan stays quadratic, about m**2 * |signature| / 64 word operations:
     finding an unseparated pair is an orthogonal-vectors search.  Valid
-    minimal covers took 0.09 s at m = 10**4, 1.5 s at 10**5 and 11 s at
+    minimal covers took 0.03 s at m = 10**4, 1.2 s at 10**5 and 10 s at
     3 * 10**5 (process time, 2-core x86, Python 3.11), so a valid dense
     cover at the 10**7 JSON cap takes hours; an invalid one stops at its
     first failure.
     """
-    signature = _transpose(cover.sets, cover.ground_size)
-    return _scan(cover.sets, signature, _disjointness(signature, len(cover.sets)))
+    return _scan(cover, _disjointness(cover.sets))
 
 
-def _scan(sets, signature: list[int], adj: list[int]) -> CoverReport:
-    """validate_cover's scan, on signatures and disjointness already built."""
+def _scan(cover: SeparatingCover, adj: list[int]) -> CoverReport:
+    """validate_cover's scan, on the disjointness table already built."""
+    sets, signature = cover.sets, _transpose(cover.sets, cover.ground_size)
     uncovered = next((x for x, sig in enumerate(signature) if not sig), None)
     sep = [None] * len(sets)
     for x, sig in enumerate(signature):
@@ -287,16 +275,13 @@ def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
     so the result has at least ground_size MISes.  With ``check`` the
     cover is validated first, which is all the distinctness needs (see
     the module docstring); the validation and the adjacency share one
-    signature transpose and one ``_disjointness``.
+    ``_disjointness``.
     """
     if len(cover.sets) > MAX_VERTICES:
-        raise ValueError(
-            f"cover has {len(cover.sets)} sets; at most {MAX_VERTICES} supported"
-        )
-    signature = _transpose(cover.sets, cover.ground_size)
-    adj = _disjointness(signature, len(cover.sets))
+        raise ValueError(f"cover has {len(cover.sets)} sets; at most {MAX_VERTICES} supported")
+    adj = _disjointness(cover.sets)
     if check:
-        report = _scan(cover.sets, signature, adj)
+        report = _scan(cover, adj)
         if not report.valid:
             raise CoverValidationError(report)
     return Graph(len(cover.sets), tuple(adj))

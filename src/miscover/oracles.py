@@ -23,7 +23,7 @@ import numpy as np
 
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
-from .covers import SeparatingCover, validate_cover
+from .covers import SeparatingCover, _transpose, validate_cover
 from .graphs import Graph, Variant, VertexSet, extremal_graph, from_edges
 
 MAX_SCAN_VERTICES = 7  # 2**21 graphs; n=8 (2**28) only behind allow_large
@@ -121,15 +121,13 @@ def greedy_mis_witnesses(cover: SeparatingCover) -> list[VertexSet]:
     graph's adjacency (sets adjacent exactly when disjoint) is built here
     pair by pair, apart from the library's.
     """
-    sets = cover.sets
-    adj = [sum(1 << j for j, t in enumerate(sets) if not s & t) for s in sets]
+    adj = [sum(1 << j for j, t in enumerate(cover.sets) if not s & t) for s in cover.sets]
     witnesses = []
-    for x in range(cover.ground_size):
-        current = sum(1 << i for i, s in enumerate(sets) if s >> x & 1)
-        for v in range(len(sets)):
-            if not current >> v & 1 and not adj[v] & current:
+    for current in _transpose(cover.sets, cover.ground_size):
+        for v, row in enumerate(adj):
+            if not row & current:  # no neighbor of v in current; a no-op if v is in it
                 current |= 1 << v
-        witnesses.append(VertexSet(current, len(sets)))
+        witnesses.append(VertexSet(current, len(adj)))
     return witnesses
 
 
