@@ -16,20 +16,21 @@ The build fills m in doubling blocks [lo, 2*lo - 1]:
   is at most lo - 1, so it is final.  For d = 2..isqrt(hi), ascending, one
   pass over the multiples m = d*q with q >= d keeps c[d] + c[q] where it is
   strictly below the block's best so far: the first minimal divisor.
-* Sums, a short scan per m.  The paper's last result (Mahler and Popken)
-  says that the largest integer written with k ones is
-  max_partition_product(k).  Read the other way, c[x] >= s(x) for every x,
-  where s = min_separating_sets.  A summand i >= 2 changes the result only
-  if its sum is below the i = 1 sum c[m-1] + 1 and at most the best
-  product; call the smaller of those two bounds U.  Since m - i >= ceil(m/2),
-  c[m-i] >= s(ceil(m/2)), so c[i] <= U - s(ceil(m/2)), and therefore
-  i <= max_partition_product(U - s(ceil(m/2))).  The scan covers only those
-  i (a handful), ascending with strict <, and a product replaces the sum
-  only if strictly smaller.
+* Sums, the summand 1 alone.  Up to MAX_TABLE_LIMIT no summand i >= 2
+  changes c or choice, so each entry is the running minimum
 
-Every skipped summand has a sum above the bound, so ``choice`` is the same
-first minimizer that the full scan of every summand and divisor finds; the
-tests compare both arrays with that scan.
+      c[m] = min(c[m-1] + 1, prod[m])
+
+  taken in a plain loop over the block, and choice[m] is -d where
+  prod[m] < c[m-1] + 1, else 1 (ties keep the sum).
+
+The rule is a measured fact, not a theorem.  The tests compare both arrays
+with the full scan of every summand and divisor up to 10**5, and check the
+10**7 table against digests of the exact table, computed with every
+summand that could matter.  It agrees with Iraids et al., "Integer
+complexity: experimental and analytical results" (2012), who report
+353 942 783 as the first m that needs a summand other than 1.  Raising
+MAX_TABLE_LIMIT past 10**7 needs a summand scan back.
 
 The largest m with c[m] = n equals max_partition_product(n), and a minimal
 expression for m converts to an m.ones-vertex graph with exactly m MISes
@@ -44,11 +45,11 @@ from math import isqrt
 import numpy as np
 
 from . import expressions as ex
-from .closedforms import max_partition_product
-from .graphs import Graph, complete_graph, count_mis, disjoint_union, join
+from .graphs import MAX_VERTICES, Graph, complete_graph, count_mis, disjoint_union, join
 
-# complexity_table(MAX_TABLE_LIMIT) measured 17.8 s of CPU at a peak RSS of
-# 273 MiB on a 2-core x86 host, Python 3.11, numpy 2.4 (10**5: 0.11 s).
+# complexity_table(MAX_TABLE_LIMIT) measured 2.2-2.9 s of CPU at a peak RSS
+# of 184 MiB on a 2-core x86 host, Python 3.11, numpy 2.4 (10**5: 0.03-0.04
+# s).  Past 10**7 the running minimum is not checked; see the docstring.
 MAX_TABLE_LIMIT = 10**7
 
 
@@ -79,38 +80,21 @@ def complexity_table(limit: int) -> ComplexityTable:
     c = np.zeros(limit + 1, dtype=np.int32)
     choice = np.zeros(limit + 1, dtype=np.int32)
     c[1] = 1
-    # the scan reads single entries, which a list serves faster than numpy
-    c_list = [0, 1] + [0] * (limit - 1)
-    choice_view = memoryview(choice)
-    # reach[k] = max_partition_product(k), the largest m with c[m] <= k.
-    # Products and +1 alone give c[m] <= 3*log2(m), so k stays in range.
-    reach = [0] + [max_partition_product(k) for k in range(1, 3 * limit.bit_length() + 4)]
-    s_half = 1  # min_separating_sets(ceil(m/2)), advanced with m
     lo = 2
     while lo <= limit:
         hi = min(2 * lo - 1, limit)
-        prod, prod_divisor = map(memoryview, _products(c, lo, hi))
-        for m in range(lo, hi + 1):
-            while reach[s_half] < (m + 1) // 2:
-                s_half += 1
-            best = c_list[m - 1] + 1
-            pick = 1
-            p = prod[m - lo]
-            # a summand i >= 2 must beat the i = 1 sum and at least tie the
-            # product, and c[m - i] >= s_half
-            bound = best - 1 if best <= p else p
-            top = reach[bound - s_half]
-            if top > m // 2:
-                top = m // 2
-            for i in range(2, top + 1):
-                s = c_list[i] + c_list[m - i]
-                if s < best:
-                    best, pick = s, i
-            if p < best:
-                best, pick = p, prod_divisor[m - lo]
-            c_list[m] = best
-            choice_view[m] = pick
-        c[lo : hi + 1] = c_list[lo : hi + 1]
+        prod, divisor = _products(c, lo, hi)
+        # the running minimum reads single entries, which a list serves
+        # faster than numpy
+        block = prod.tolist()
+        run = int(c[lo - 1])
+        for k, p in enumerate(block):
+            run += 1
+            if p < run:
+                run = p
+            block[k] = run
+        c[lo : hi + 1] = block
+        choice[lo : hi + 1] = np.where(prod < c[lo - 1 : hi] + 1, divisor, 1)
         lo = hi + 1
     return ComplexityTable(limit, c, choice)
 
@@ -165,8 +149,8 @@ def graph_from_expression(e: ex.Expression) -> Graph:
     add), and a product takes their disjoint union (counts multiply).
     The MIS count is verified before returning.
     """
-    if e.ones > 128:
-        raise ValueError(f"expression has {e.ones} ones; at most 128 supported")
+    if e.ones > MAX_VERTICES:
+        raise ValueError(f"expression has {e.ones} ones; at most {MAX_VERTICES} supported")
 
     def build(node: ex.Expression) -> Graph:
         if node.kind == ex.ONE:

@@ -26,7 +26,7 @@ from .complexity import complexity_table
 from .covers import SeparatingCover, _transpose, validate_cover
 from .graphs import Graph, Variant, VertexSet, extremal_graph, from_edges
 
-MAX_SCAN_VERTICES = 7  # 2**21 graphs; n=8 (2**28) only behind allow_large
+MAX_SCAN_VERTICES = 7  # 2**21 graphs; n = 8 would be 2**28, minutes of CPU
 
 
 def brute_max_partition_product(n: int) -> int:
@@ -62,36 +62,28 @@ def _scan_all_graphs(n: int) -> tuple[int, tuple[int, ...]]:
     """
     pairs = _edge_pairs(n)
     bit = {p: 1 << k for k, p in enumerate(pairs)}
-    n_graphs = 1 << len(pairs)
-    counts = np.zeros(n_graphs, dtype=np.uint8)  # counts <= C(7,3) = 35
-    chunk = min(n_graphs, 1 << 24)
-    for start in range(0, n_graphs, chunk):
-        graphs = np.arange(start, min(start + chunk, n_graphs), dtype=np.uint32)
-        for s in range(1, 1 << n):
-            inside = sum(bit[p] for p in pairs if s >> p[0] & 1 and s >> p[1] & 1)
-            ok = (graphs & inside) == 0
-            for v in range(n):
-                if s >> v & 1:
-                    continue
-                touching = sum(
-                    bit[tuple(sorted((v, u)))] for u in range(n) if s >> u & 1
-                )
-                ok &= (graphs & touching) != 0
-            counts[start : start + len(graphs)] += ok
+    graphs = np.arange(1 << len(pairs), dtype=np.uint32)
+    counts = np.zeros(len(graphs), dtype=np.uint8)  # counts <= C(7,3) = 35
+    for s in range(1, 1 << n):
+        inside = sum(bit[p] for p in pairs if s >> p[0] & 1 and s >> p[1] & 1)
+        ok = (graphs & inside) == 0
+        for v in range(n):
+            if s >> v & 1:
+                continue
+            touching = sum(
+                bit[tuple(sorted((v, u)))] for u in range(n) if s >> u & 1
+            )
+            ok &= (graphs & touching) != 0
+        counts += ok
     best = int(counts.max())
     winners = tuple(int(x) for x in np.nonzero(counts == best)[0])
     return best, winners
 
 
-def brute_max_mis_count(n: int, allow_large: bool = False) -> int:
-    """Maximum MIS count over ALL labeled graphs on n vertices.
-
-    Capped at n=7 (2**21 graphs); pass allow_large for the n=8 scan of
-    2**28 graphs, which takes minutes and is excluded from the test suite.
-    """
-    limit = 8 if allow_large else MAX_SCAN_VERTICES
-    if not 1 <= n <= limit:
-        raise ValueError(f"n must be in 1..{limit}, got {n}")
+def brute_max_mis_count(n: int) -> int:
+    """Maximum MIS count over ALL labeled graphs on n vertices (n <= 7)."""
+    if not 1 <= n <= MAX_SCAN_VERTICES:
+        raise ValueError(f"n must be in 1..{MAX_SCAN_VERTICES}, got {n}")
     return _scan_all_graphs(n)[0]
 
 

@@ -264,6 +264,19 @@ def test_malformed_cover_json_is_one_line_error(tmp_path, capsys, text):
         assert "Traceback" not in err and "shift count" not in err
 
 
+def _one_line_run(argv):
+    """run(argv) in-process; its exit code, after checking stderr is one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    if code == 0:
+        assert err == "" and out.getvalue()
+    return code
+
+
 _json_leaves = (
     st.none()
     | st.booleans()
@@ -309,14 +322,87 @@ def test_fuzzed_cover_json_gives_exit_code_and_one_line(tmp_path, text):
     path = tmp_path / "fuzz.json"
     path.write_text(text)
     for command in ("validate-cover", "graph-from-cover"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([command, "--cover", str(path)])
-        err = err.getvalue()
-        assert code in (0, 1, 2)
-        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
-        if code == 0:
-            assert err == "" and out.getvalue()
+        _one_line_run([command, "--cover", str(path)])
+
+
+@pytest.mark.parametrize("header", ["p 100000000000 0", "p -1 0", "p 129 0"])
+def test_graph_vertex_count_out_of_range_is_one_line_error(tmp_path, capsys, header):
+    # the count is checked before any per-vertex list is allocated
+    path = tmp_path / "g.txt"
+    path.write_text(header + "\n")
+    n = header.split()[1]
+    for argv in (["mis", "--count"], ["mis", "--list"], ["cover-from-graph"]):
+        assert run([*argv, "--graph", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: vertex count must be in 0..128, got {n}\n"
+
+
+_graph_numbers = st.integers(-2, 12) | st.sampled_from([128, 129, -(10**12), 10**12])
+_graph_tokens = _graph_numbers.map(str) | st.sampled_from(["", "x", "1.5", "1e3", "0x1f", "--"])
+
+
+@st.composite
+def _graph_texts(draw):
+    """Graph texts: mostly a header and at most 10 edges, some bad."""
+    kind = draw(st.sampled_from(["graph", "graph", "records", "raw"]))
+    if kind == "graph":  # a tree, a few more edges, then maybe one bad edge
+        n = draw(st.integers(0, 8) | _graph_numbers)
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, min(n, 9))}
+        inside = st.integers(0, max(0, min(n, 13) - 1))
+        extra = st.tuples(inside, st.integers(1, 3)).map(lambda e: (e[0], e[0] + e[1]))
+        edges = sorted(edges | set(draw(st.lists(extra, max_size=2))))
+        if edges and draw(st.integers(0, 2)) == 0:  # repeated, reversed, a loop, far
+            u, v = draw(st.sampled_from(edges))
+            bad = draw(st.sampled_from([(u, v), (v, u), (u, u), (-1, v), (u, 10**12)]))
+            edges.insert(draw(st.integers(0, len(edges))), bad)
+        m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines = [f"p {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), "c comment")
+        return "\n".join(lines) + "\n"
+    if kind == "records":  # any record, any arity, any order
+        record = st.tuples(
+            st.sampled_from(["p", "e", "c", "q", ""]), st.lists(_graph_tokens, max_size=4)
+        ).map(lambda r: " ".join([r[0], *r[1]]))
+        return "\n".join(draw(st.lists(record, max_size=12)))
+    return draw(st.text(max_size=40))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_graph_texts())
+def test_fuzzed_graph_text_gives_exit_code_and_one_line(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    for command in (["mis", "--count"], ["mis", "--list"], ["cover-from-graph"]):
+        _one_line_run([*command, "--graph", str(path)])
+
+
+@st.composite
+def _expression_texts(draw):
+    """Expression texts: well formed or not, unbalanced, long or deep."""
+    kind = draw(st.sampled_from(["tokens", "deep", "chain", "raw"]))
+    if kind == "tokens":
+        return draw(st.text(alphabet="1111+*() 2x-", max_size=60))
+    if kind == "deep":  # balanced or one parenthesis off
+        depth = draw(st.integers(0, 3000))
+        close = max(0, depth + draw(st.sampled_from([0, 0, -1, 1])))
+        return "(" * depth + draw(st.sampled_from(["1", "1+1", "", "+"])) + ")" * close
+    if kind == "chain":  # up to twice the 128-vertex cap
+        return draw(st.sampled_from(["+", "", "*", ")("])).join(["1"] * draw(st.integers(1, 256)))
+    return draw(st.text(max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_expression_texts())
+def test_fuzzed_expression_gives_exit_code_and_one_line(text):
+    # after "--", a text starting with "-" is the expression, not an option
+    _one_line_run(["expr-graph", "--", text])
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from miscover import (
     minimal_expression,
     parse_expression,
 )
+from miscover.complexity import MAX_TABLE_LIMIT
 from miscover.oracles import brute_complexity
 
 REFERENCE = Path(__file__).parent / "data" / "complexity_reference_1000.csv"
@@ -68,6 +70,21 @@ def test_table_is_bit_identical_to_seed_scan(seed_reference):
         assert t.c.dtype == t.choice.dtype == np.int32
         assert np.array_equal(t.c, ref_c[: limit + 1]), limit
         assert np.array_equal(t.choice, ref_choice[: limit + 1]), limit
+
+
+def test_table_at_max_limit_matches_exact_digests():
+    # complexity_table takes only the summand 1 (module docstring); these
+    # digests of c and choice at 10**7 come from a build that scanned every
+    # summand the Mahler-Popken bound allows, so they guard that rule at
+    # the cap.  Same form as bench/workloads.array_digest.
+    t = complexity_table(MAX_TABLE_LIMIT)
+
+    def digest(a):
+        return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+
+    assert MAX_TABLE_LIMIT == 10**7
+    assert digest(t.c) == "74db27cf92af3ae2877a58a8079323d15e6cb0cc50125b0ab5e69f00087cdbb9"
+    assert digest(t.choice) == "d613ff61e92ebfd9f5ab3e06535a2c7ddee494e16cfd1a403ee7d316790bb8e2"
 
 
 def test_bounds_from_partition_products_to_1e5():

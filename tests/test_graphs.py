@@ -56,6 +56,10 @@ def test_graph_validation():
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
         from_edges(2, [(0, 2)])
+    # checked before the adjacency list of n rows is allocated
+    for n in (-1, 129, 10**12):
+        with pytest.raises(ValueError, match=rf"^vertex count must be in 0\.\.128, got {n}$"):
+            from_edges(n, [])
 
 
 def test_disjoint_union_multiplies():

@@ -33,7 +33,7 @@ def test_graph_scan_examples():
     assert brute_max_mis_count(4) == 4
     assert brute_max_mis_count(7) == 12
     with pytest.raises(ValueError):
-        brute_max_mis_count(8)  # requires allow_large
+        brute_max_mis_count(8)  # 2**28 graphs: over the cap
     with pytest.raises(ValueError):
         brute_max_mis_count(0)
 
