@@ -21,8 +21,9 @@ The build fills m in doubling blocks [lo, 2*lo - 1]:
 
       c[m] = min(c[m-1] + 1, prod[m])
 
-  taken in a plain loop over the block, and choice[m] is -d where
-  prod[m] < c[m-1] + 1, else 1 (ties keep the sum).
+  that is, c[m] - m is the running minimum of prod[m] - m, one numpy
+  cumulative minimum per block.  choice[m] is -d where prod[m] < c[m-1] + 1,
+  else 1 (ties keep the sum).
 
 The rule is a measured fact, not a theorem.  The tests compare both arrays
 with the full scan of every summand and divisor up to 10**5, and check the
@@ -47,8 +48,8 @@ import numpy as np
 from . import expressions as ex
 from .graphs import MAX_VERTICES, Graph, complete_graph, count_mis, disjoint_union, join
 
-# complexity_table(MAX_TABLE_LIMIT) measured 2.2-2.9 s of CPU at a peak RSS
-# of 184 MiB on a 2-core x86 host, Python 3.11, numpy 2.4 (10**5: 0.03-0.04
+# complexity_table(MAX_TABLE_LIMIT) measured 0.8-1.0 s of CPU at a peak RSS
+# of 193-195 MiB on a 2-core x86 host, Python 3.11, numpy 2.4 (10**5: 0.01
 # s).  Past 10**7 the running minimum is not checked; see the docstring.
 MAX_TABLE_LIMIT = 10**7
 
@@ -84,16 +85,9 @@ def complexity_table(limit: int) -> ComplexityTable:
     while lo <= limit:
         hi = min(2 * lo - 1, limit)
         prod, divisor = _products(c, lo, hi)
-        # the running minimum reads single entries, which a list serves
-        # faster than numpy
-        block = prod.tolist()
-        run = int(c[lo - 1])
-        for k, p in enumerate(block):
-            run += 1
-            if p < run:
-                run = p
-            block[k] = run
-        c[lo : hi + 1] = block
+        m = np.arange(lo, hi + 1, dtype=np.int32)
+        run = np.minimum.accumulate(np.minimum(prod - m, c[lo - 1] - (lo - 1)))
+        c[lo : hi + 1] = run + m
         choice[lo : hi + 1] = np.where(prod < c[lo - 1 : hi] + 1, divisor, 1)
         lo = hi + 1
     return ComplexityTable(limit, c, choice)

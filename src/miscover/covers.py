@@ -58,14 +58,11 @@ from .graphs import (
     Graph,
     MisCapError,
     _bits_of,
+    _check_cap,
     _clique_sizes,
+    _is_index,
     _mis_masks,
 )
-
-
-def _is_index(x) -> bool:
-    """A non-negative int that is not a bool (JSON true would pass as 1)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _transpose(rows, width: int) -> list[int]:
@@ -247,8 +244,11 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     most g.n sets.
 
     Isolated vertices (for g.n >= 2) are rejected: such a vertex lies in
-    every MIS, so no pair of MISes could ever be separated.
+    every MIS, so no pair of MISes could ever be separated.  Raises
+    MisCapError if g has more than ``cap`` MISes, and ValueError if cap is
+    not an int >= 0.
     """
+    _check_cap(cap)
     if g.n == 0:
         raise ValueError(
             "graph must have at least one vertex: the empty graph's sole "

@@ -15,7 +15,7 @@ vertices still wait for a neighbor in the set: each waiting vertex goes
 with the component its alive neighbors lie in, and one whose neighbors
 span several components is removed first by inclusion-exclusion.  With
 nothing waiting it also splits joins.  So sparse graphs stay polynomial
-(a 128-vertex cycle counts in about 60 ms), and a fixed memo budget makes
+(a 128-vertex cycle counts in 20-35 ms), and a fixed memo budget makes
 every hard graph fail fast with CountBudgetError instead of running on.
 enumerate_mis keeps its own lowest-vertex recursion, whose include-first
 order yields the canonical MIS order without sorting.
@@ -31,10 +31,10 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 128
 DEFAULT_MIS_CAP = 10_000_000
 # count_mis memo entries.  The benchmark's 36-vertex cubic graphs keep at
-# most about 7 000, 128-vertex cycles about 1 200.  Measured on a 2-core
-# x86 host, Python 3.11: random graphs reach the budget after 12.4 s of CPU
-# (72-vertex cubic) to 17.5 s (128 vertices, p = 0.03), at a peak RSS of
-# 190-210 MiB, about 160 MiB above an idle interpreter.
+# most about 4 300, 128-vertex cycles about 860.  Measured on a 2-core x86
+# host, Python 3.11: random graphs reach the budget after 9-10 s of CPU
+# (72-vertex cubic) to 12 s (128 vertices, p = 0.03), at a peak RSS of
+# 210-215 MiB, about 180 MiB above an idle interpreter.
 COUNT_MEMO_BUDGET = 1_000_000
 
 
@@ -93,6 +93,17 @@ def _bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _is_index(x) -> bool:
+    """A non-negative int that is not a bool (JSON true would pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _check_cap(cap) -> None:
+    """The cap check enumerate_mis and cover_from_graph share."""
+    if not _is_index(cap):
+        raise ValueError(f"cap must be an int >= 0, got {cap!r}")
 
 
 def _mask_of(s) -> int:
@@ -252,17 +263,6 @@ def is_maximal_independent(g: Graph, s) -> bool:
     return True
 
 
-def _branch_vertex(adj: tuple[int, ...], alive: int) -> int:
-    """Maximum-degree vertex within the induced mask, lowest index on ties."""
-    best_v = -1
-    best_d = -1
-    for v in _bits_of(alive):
-        d = (adj[v] & alive).bit_count()
-        if d > best_d:
-            best_v, best_d = v, d
-    return best_v
-
-
 def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
     """The first ``limit`` MIS bitmasks of the subgraph induced by ``alive``.
 
@@ -305,8 +305,10 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     The order is canonical: compare the sorted vertex tuples
     lexicographically, e.g. {0,2} before {1}.  It is produced directly by
     branching on the lowest undecided vertex, include first, with no sort.
-    Raises MisCapError if more than ``cap`` sets exist.
+    Raises MisCapError if more than ``cap`` sets exist, and ValueError if
+    cap is not an int >= 0.
     """
+    _check_cap(cap)
     masks = _mis_masks(g.adj, g.full_mask, cap + 1)
     if len(masks) > cap:
         raise MisCapError(cap, cap)
@@ -322,14 +324,20 @@ def count_mis(g: Graph) -> int:
     need.  Each step, in order:
 
     - a pending vertex with no alive neighbor gives 0; one with a single
-      alive neighbor w forces w into the set, with no branching;
+      alive neighbor w forces w into the set in place, and the scan
+      starts over;
     - if alive is disconnected, it splits off the component C of its
-      lowest vertex.  A pending vertex whose alive neighbors all lie on
-      one side goes with that side, and the counts multiply.  A pending
-      vertex u with neighbors on both sides is first removed by
-      inclusion-exclusion: the sets that may leave u undominated, minus
-      those that avoid N(u), whose alive members then wait in turn:
-      cnt(A, R) = cnt(A, R - u) - cnt(A - N(u), (R - u) | (N(u) & A));
+      lowest vertex from the rest R, in one pass over the pending
+      vertices.  One whose alive neighbors all lie on one side goes with
+      that side (into D_C or D_R), and the counts multiply.  Each one, u,
+      with neighbors on both sides is removed by inclusion-exclusion: it
+      leaves the pending set D, and the sets that avoid N(u), whose alive
+      members then wait in turn, are subtracted.  With u_1, u_2, ... the
+      straddlers in scan order and D_i the pending set once u_1..u_i
+      have left it:
+      cnt(A, D) = cnt(C, D_C) * cnt(R, D_R)
+                  - sum_i cnt(A - N(u_i), D_i | (N(u_i) & A)),
+      so no call re-enters with the same alive set;
     - if nothing is pending and alive is a join (its complement is
       disconnected), the counts of the two sides add;
     - otherwise it branches on a maximum-degree vertex: in the set, or
@@ -337,13 +345,13 @@ def count_mis(g: Graph) -> int:
 
     Unions of cliques and expression-built graphs thus resolve without
     branching, and sparse graphs stay polynomial: a 128-vertex cycle keeps
-    about 1 200 memo entries, a 36-vertex cubic graph at most about 7 000.
+    about 860 memo entries, a 36-vertex cubic graph at most about 4 300.
     The memo lives for this call only; the graph keeps the final count, so
     a repeat call on the same Graph is O(1).
 
     Raises CountBudgetError rather than keep more than COUNT_MEMO_BUDGET
     memo entries, so every accepted graph returns or fails within about
-    20 s of CPU time and 200 MiB (measured; see the constant).
+    20 s of CPU time and 220 MiB (measured; see the constant).
     """
     total = g._cache.get("count_mis")
     if total is not None:
@@ -359,42 +367,51 @@ def count_mis(g: Graph) -> int:
             reach = adj[low.bit_length() - 1] & alive
             if not reach:
                 return 0
-            if not reach & (reach - 1):
+            if reach & (reach - 1):
+                nd ^= low
+            else:  # forced: the one alive neighbor w enters the set
                 w_adj = adj[reach.bit_length() - 1]
-                return cnt(alive & ~(w_adj | reach), need & ~w_adj)
-            nd ^= low
+                alive &= ~(w_adj | reach)
+                need &= ~w_adj
+                nd = need
         if not alive:
             return 1
         key = (alive, need)
         r = memo.get(key)
         if r is not None:
             return r
-        comp = _flood(adj, alive, complement=False)
+        comp = _flood(adj, alive, 0)
         if comp != alive:
             rest = alive & ~comp
-            need_c = need_r = 0
-            for u in _bits_of(need):
-                reach = adj[u] & alive
+            need_c = need_r = r = 0
+            nd = need
+            while nd:
+                low = nd & -nd
+                nd ^= low
+                reach = adj[low.bit_length() - 1] & alive
                 if not reach & rest:
-                    need_c |= 1 << u
+                    need_c |= low
                 elif not reach & comp:
-                    need_r |= 1 << u
+                    need_r |= low
                 else:
-                    others = need & ~(1 << u)
-                    r = cnt(alive, others) - cnt(alive & ~reach, others | reach)
-                    break
-            else:
-                r = cnt(comp, need_c)
-                if r:
-                    r *= cnt(rest, need_r)
-        elif not need:
-            cocomp = _flood(adj, alive, complement=True)
-            if cocomp != alive:
-                r = cnt(cocomp, 0) + cnt(alive & ~cocomp, 0)
-        if r is None:
-            v = _branch_vertex(adj, alive)
-            bit = 1 << v
-            r = cnt(alive & ~(adj[v] | bit), need & ~adj[v]) + cnt(
+                    need ^= low
+                    r -= cnt(alive & ~reach, need | reach)
+            part = cnt(comp, need_c)
+            if part:
+                r += part * cnt(rest, need_r)
+        elif not need and (cocomp := _flood(adj, alive, -1)) != alive:
+            r = cnt(cocomp, 0) + cnt(alive & ~cocomp, 0)
+        else:
+            best = -1
+            rem = alive
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                d = (adj[low.bit_length() - 1] & alive).bit_count()
+                if d > best:
+                    best, bit = d, low
+            v_adj = adj[bit.bit_length() - 1]
+            r = cnt(alive & ~(v_adj | bit), need & ~v_adj) + cnt(
                 alive & ~bit, need | bit
             )
         if len(memo) >= budget:
@@ -410,18 +427,19 @@ def count_mis(g: Graph) -> int:
     return total
 
 
-def _flood(adj: tuple[int, ...], alive: int, complement: bool) -> int:
-    """Connected component of the lowest alive vertex, in G or its complement."""
-    comp = alive & -alive
-    frontier = comp
+def _flood(adj: tuple[int, ...], alive: int, flip: int) -> int:
+    """Connected component of the lowest alive vertex.
+
+    flip = 0 floods G; flip = -1 inverts each row, flooding the complement.
+    """
+    comp = frontier = alive & -alive
     while frontier:
         nxt = 0
-        for v in _bits_of(frontier):
-            if complement:
-                nxt |= alive & ~adj[v] & ~(1 << v)
-            else:
-                nxt |= alive & adj[v]
-        frontier = nxt & ~comp
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1] ^ flip
+            frontier ^= low
+        frontier = nxt & alive & ~comp
         comp |= frontier
     return comp
 

@@ -12,6 +12,7 @@ from miscover import (
     closed_neighborhood,
     complete_graph,
     count_mis,
+    cover_from_graph,
     cycle_graph,
     delete_vertices,
     disjoint_union,
@@ -27,7 +28,127 @@ from miscover import (
     max_partition_product,
     perrin,
 )
+from miscover.graphs import _bits_of, _flood
 from miscover.oracles import brute_mis_masks
+
+
+def seed_count_mis(g: Graph) -> int:
+    """The count_mis recursion before its component split became one loop,
+    as a reference: verbatim but for the Graph._cache lookup and store, so
+    that it never answers for, or from, the code under test."""
+    adj = g.adj
+    memo: dict[tuple[int, int], int] = {}
+    budget = miscover.graphs.COUNT_MEMO_BUDGET
+
+    def cnt(alive: int, need: int) -> int:
+        nd = need
+        while nd:
+            low = nd & -nd
+            reach = adj[low.bit_length() - 1] & alive
+            if not reach:
+                return 0
+            if not reach & (reach - 1):
+                w_adj = adj[reach.bit_length() - 1]
+                return cnt(alive & ~(w_adj | reach), need & ~w_adj)
+            nd ^= low
+        if not alive:
+            return 1
+        key = (alive, need)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        comp = seed_flood(adj, alive, complement=False)
+        if comp != alive:
+            rest = alive & ~comp
+            need_c = need_r = 0
+            for u in _bits_of(need):
+                reach = adj[u] & alive
+                if not reach & rest:
+                    need_c |= 1 << u
+                elif not reach & comp:
+                    need_r |= 1 << u
+                else:
+                    others = need & ~(1 << u)
+                    r = cnt(alive, others) - cnt(alive & ~reach, others | reach)
+                    break
+            else:
+                r = cnt(comp, need_c)
+                if r:
+                    r *= cnt(rest, need_r)
+        elif not need:
+            cocomp = seed_flood(adj, alive, complement=True)
+            if cocomp != alive:
+                r = cnt(cocomp, 0) + cnt(alive & ~cocomp, 0)
+        if r is None:
+            v = seed_branch_vertex(adj, alive)
+            bit = 1 << v
+            r = cnt(alive & ~(adj[v] | bit), need & ~adj[v]) + cnt(
+                alive & ~bit, need | bit
+            )
+        if len(memo) >= budget:
+            raise CountBudgetError(budget)
+        memo[key] = r
+        return r
+
+    try:
+        total = cnt(g.full_mask, 0)
+    finally:
+        memo.clear()
+    return total
+
+
+def seed_flood(adj: tuple[int, ...], alive: int, complement: bool) -> int:
+    """Connected component of the lowest alive vertex, in G or its complement."""
+    comp = alive & -alive
+    frontier = comp
+    while frontier:
+        nxt = 0
+        for v in _bits_of(frontier):
+            if complement:
+                nxt |= alive & ~adj[v] & ~(1 << v)
+            else:
+                nxt |= alive & adj[v]
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
+def seed_branch_vertex(adj: tuple[int, ...], alive: int) -> int:
+    """Maximum-degree vertex within the induced mask, lowest index on ties."""
+    best_v = -1
+    best_d = -1
+    for v in _bits_of(alive):
+        d = (adj[v] & alive).bit_count()
+        if d > best_d:
+            best_v, best_d = v, d
+    return best_v
+
+
+def random_cubic_graph(rng: random.Random, n: int) -> Graph:
+    """Uniform random cubic graph on n (even) vertices: the pairing model,
+    redrawn until the matching of 3n points has no loop or double edge."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return from_edges(n, edges)
+
+
+def spider_graph(rng: random.Random, hubs: int, legs: int, length: int) -> Graph:
+    """Paths of ``length`` vertices ("legs"), each end joined to a random hub.
+
+    Branching picks the hubs early (they have the highest degrees), and an
+    excluded hub waits for a neighbor spread over several legs: a pending
+    vertex that straddles two or three components."""
+    n = hubs + legs * length
+    edges = set()
+    for k in range(legs):
+        first = hubs + k * length
+        edges.update((first + i, first + i + 1) for i in range(length - 1))
+        edges.add((rng.randrange(hubs), first))
+        edges.add((rng.randrange(hubs), first + length - 1))
+    return from_edges(n, edges)
 
 
 def test_complete_graph_mis_counts():
@@ -109,6 +230,13 @@ def test_enumerate_mis_cap_carries_partial_count():
     assert exc.value.cap == 17
 
 
+@pytest.mark.parametrize("cap", [-1, True, 2.5])
+@pytest.mark.parametrize("fn", [enumerate_mis, cover_from_graph])
+def test_cap_must_be_a_nonnegative_int(fn, cap):
+    with pytest.raises(ValueError, match=f"cap must be an int >= 0, got {cap!r}$"):
+        fn(cycle_graph(5), cap=cap)
+
+
 def test_count_of_empty_graph_is_one():
     # the empty set is vacuously maximal; makes the product law unital
     assert count_mis(Graph(0, ())) == 1
@@ -187,6 +315,47 @@ def test_count_mis_keeps_only_the_count_and_fails_fast(monkeypatch):
     total = count_mis(g)
     assert total == len(enumerate_mis(g)) == 5780
     assert g._cache == {"count_mis": total}  # the memo died with the call
+
+
+def test_count_mis_matches_seed_recursion():
+    rng = random.Random(19)
+    graphs = [
+        random_graph(rng, rng.randint(1, 30), p)
+        for p in (0.05, 0.1, 0.2, 0.35, 0.5, 0.8)
+        for _ in range(25)
+    ]
+    graphs += [random_cubic_graph(rng, n) for n in range(4, 37, 2) for _ in range(2)]
+    graphs += [prism_graph(k) for k in range(3, 19)]
+    graphs += [
+        spider_graph(rng, hubs, legs, length)
+        for hubs in (1, 2, 3)
+        for legs in (2, 3, 4)
+        for length in (1, 2, 3, 5)
+    ]
+    for g in graphs:
+        assert count_mis(g) == seed_count_mis(g)
+
+
+def test_flood_is_the_component_of_the_lowest_vertex():
+    # a search over vertex lists as the reference, in g and in its complement
+    def component(rows, alive):
+        start = (alive & -alive).bit_length() - 1
+        seen, todo = {start}, [start]
+        while todo:
+            v = todo.pop()
+            for u in range(len(rows)):
+                if alive >> u & 1 and rows[v] >> u & 1 and u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return sum(1 << v for v in seen)
+
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 24), rng.choice([0.1, 0.3, 0.7, 0.9]))
+        alive = rng.getrandbits(g.n) | 1 << rng.randrange(g.n)
+        co_rows = [g.full_mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+        assert _flood(g.adj, alive, 0) == component(g.adj, alive)
+        assert _flood(g.adj, alive, -1) == component(co_rows, alive)
 
 
 def test_extremal_graph_small_cases():
