@@ -44,6 +44,23 @@ from .graphs import (
 )
 from .oracles import run_verification
 
+# The largest arguments whose answers print under Python's default limit of
+# 4 300 digits for int-to-str conversion: ell(27 037) and perrin(35 210)
+# have 4 300 digits.  Larger ones are rejected before computing: ell(10**8)
+# and perrin(10**7) were still computing after 20 s, only to fail to print.
+ELL_MAX_N = 27037
+PERRIN_MAX_J = 35210
+
+
+def _printable(name: str, value: int, bound: int) -> int:
+    """value, or a ValueError when its answer would not print."""
+    if value > bound:
+        raise ValueError(
+            f"{name} must be <= {bound}, got {value}: the answer would have more "
+            "than 4300 digits, Python's limit for printing an int"
+        )
+    return value
+
 
 def _emit_graph(g, out: str | None) -> None:
     if out:
@@ -66,7 +83,7 @@ def _emit_cover(cover, out: str | None) -> None:
 
 
 def _cmd_ell(args) -> int:
-    print(max_partition_product(args.n))
+    print(max_partition_product(_printable("n", args.n, ELL_MAX_N)))
     return 0
 
 
@@ -76,7 +93,7 @@ def _cmd_s(args) -> int:
 
 
 def _cmd_perrin(args) -> int:
-    print(perrin(args.j))
+    print(perrin(_printable("j", args.j, PERRIN_MAX_J)))
     return 0
 
 

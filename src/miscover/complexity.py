@@ -36,14 +36,15 @@ MAX_TABLE_LIMIT past 10**7 needs a summand scan back.
 The largest m with c[m] = n equals max_partition_product(n), and a minimal
 expression for m converts to an m.ones-vertex graph with exactly m MISes
 (sums become joins, products become disjoint unions).
+
+numpy is imported inside the two functions that use it, so that importing
+the package, and every CLI command that builds no table, skips its load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-
-import numpy as np
 
 from . import expressions as ex
 from .graphs import MAX_VERTICES, Graph, complete_graph, count_mis, disjoint_union, join
@@ -78,6 +79,8 @@ def complexity_table(limit: int) -> ComplexityTable:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > MAX_TABLE_LIMIT:
         raise ValueError(f"limit {limit} exceeds MAX_TABLE_LIMIT = {MAX_TABLE_LIMIT}")
+    import numpy as np
+
     c = np.zeros(limit + 1, dtype=np.int32)
     choice = np.zeros(limit + 1, dtype=np.int32)
     c[1] = 1
@@ -99,6 +102,8 @@ def _products(c: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     Needs c final below lo and hi < 2*lo.  Where m has no divisor, the
     best is int32 max and the divisor 0.
     """
+    import numpy as np
+
     best = np.full(hi - lo + 1, np.iinfo(np.int32).max, dtype=np.int32)
     divisor = np.zeros(hi - lo + 1, dtype=np.int32)
     for d in range(2, isqrt(hi) + 1):

@@ -38,6 +38,10 @@ pattern cut to m bits.
 valid cover, distinct x and y are split by disjoint sets S containing x
 and T containing y, which are adjacent in the graph, so no independent
 set holds both and the MISes extending the signatures of x and y differ.
+
+numpy is imported inside the three functions that use it (``_transpose``,
+``_members_mask``, ``SeparatingCover.set_members``), so that importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .closedforms import min_separating_sets
 from .graphs import (
@@ -75,6 +77,8 @@ def _transpose(rows, width: int) -> list[int]:
     converted to bytes once, in its own length, so a sparse row on a large
     ground set costs its own size, not the width, in every tile.
     """
+    import numpy as np
+
     used = min(width, max((r.bit_length() for r in rows), default=0))
     height = 1 << 16  # a multiple of 8, so the packed row blocks join exactly
     step = max(8, ((1 << 24) // max(1, min(len(rows), height))) & ~7)
@@ -118,6 +122,8 @@ def _members_mask(i: int, members: list, ground_size: int) -> int:
     if not (ints and min(members, default=0) >= 0 and max(members, default=-1) < ground_size):
         bad = next(x for x in members if not _is_index(x) or x >= ground_size)
         raise ValueError(f"set {i}: element {bad!r} is not an integer in 0..{ground_size - 1}")
+    import numpy as np
+
     a = np.array(members, np.int64)
     buf = np.zeros((a.max(initial=-1) >> 3) + 1, np.uint8)  # sized by the set, not the ground set
     np.bitwise_or.at(buf, a >> 3, np.left_shift(1, a & 7).astype(np.uint8))
@@ -153,6 +159,8 @@ class SeparatingCover:
         object.__setattr__(self, "sets", tuple(dict.fromkeys(masks)))
 
     def set_members(self, i: int) -> tuple[int, ...]:
+        import numpy as np
+
         s = self.sets[i]
         raw = np.frombuffer(s.to_bytes((s.bit_length() + 7) // 8, "little"), np.uint8)
         nonzero = np.flatnonzero(raw)  # unpack only the bytes holding members

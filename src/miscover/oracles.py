@@ -9,7 +9,8 @@ minima from exhaustive family search, complexity from breadth-first
 reachable-value sets, and one MIS per element of a cover's disjointness
 graph from a greedy extension over a pairwise adjacency.
 ``run_verification`` compares each oracle with its closed-form or DP
-counterpart and reports agreement.
+counterpart and reports agreement.  numpy is imported inside the two
+scans that use it, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
@@ -60,6 +59,8 @@ def _scan_all_graphs(n: int) -> tuple[int, tuple[int, ...]]:
     whether S is independent (no graph edge inside S) and maximal (every
     outside vertex sees an edge into S), accumulating per-graph counts.
     """
+    import numpy as np
+
     pairs = _edge_pairs(n)
     bit = {p: 1 << k for k, p in enumerate(pairs)}
     graphs = np.arange(1 << len(pairs), dtype=np.uint32)
@@ -96,6 +97,8 @@ def brute_mis_masks(g: Graph) -> list[int]:
     """
     if g.n > 20:
         raise ValueError(f"scanning every vertex subset needs n <= 20, got {g.n}")
+    import numpy as np
+
     subsets = np.arange(1 << g.n, dtype=np.int64)
     ok = np.ones(len(subsets), dtype=bool)
     for v, row in enumerate(g.adj):

@@ -25,7 +25,7 @@ from miscover import (
     write_cover_json,
     write_graph_text,
 )
-from miscover.cli import run
+from miscover.cli import ELL_MAX_N, PERRIN_MAX_J, run
 
 
 def out_of(capsys):
@@ -47,6 +47,62 @@ def test_domain_errors_exit_1(capsys):
     assert run(["perrin", "0"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_unprintable_answers_are_rejected_before_computing(capsys):
+    # the bounds print exactly 4 300 digits; one more is a domain error
+    # before computing, not Python's int-to-str error after it
+    for command, name, bound in (("ell", "n", ELL_MAX_N), ("perrin", "j", PERRIN_MAX_J)):
+        assert run([command, str(bound)]) == 0
+        assert len(out_of(capsys)) == 4301
+        for arg in (bound + 1, 10**8):
+            assert run([command, str(arg)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: {name} must be <= {bound}, got {arg}: ")
+
+
+def test_maxones_over_cap_is_one_line_error(capsys):
+    assert run(["maxones", "20000"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: n must be <= MAX_ONES = 2000, got 20000\n")
+
+
+NUMPY_FREE = """
+import contextlib, io, json, sys
+import miscover
+from miscover.cli import run
+seen = [["import miscover", 0, "numpy" in sys.modules, ""]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    seen.append([" ".join(argv), code, "numpy" in sys.modules, out.getvalue()])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_free_commands_never_import_numpy(tmp_path):
+    # start-up cost: numpy is most of a fresh interpreter's import time, and
+    # only the table, cover and oracle functions use it
+    graph = tmp_path / "g.txt"
+    write_graph_text(extremal_graph(5), graph)
+    free = [
+        ["ell", "10"], ["s", "10"], ["perrin", "10"], ["maxones", "7"],
+        ["mis", "--count", "--graph", str(graph)], ["mis", "--list", "--graph", str(graph)],
+        ["extremal", "7"], ["expr-graph", "(1+1)((1+1)(1+1)+1)"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE, json.dumps(free + [["expr", "10"]])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *rows, expr = json.loads(proc.stdout)
+    assert [(name, code, loaded) for name, code, loaded, _ in rows] == [
+        (name, 0, False) for name, *_ in rows
+    ]
+    assert expr == ["expr 10", 0, True, "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"]
 
 
 def test_usage_errors_exit_2(capsys):

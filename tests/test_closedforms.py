@@ -1,6 +1,7 @@
 import pytest
 
 from miscover import (
+    closedforms,
     max_partition_product,
     max_with_ones,
     min_separating_sets,
@@ -119,3 +120,19 @@ def test_values_are_exact_big_ints():
     assert max_partition_product(123) == 3**41
     assert max_with_ones(123) == 3**41
     assert min_separating_sets(3**41) == 123
+
+
+@pytest.mark.parametrize("f", [max_partition_product, min_separating_sets, perrin, max_with_ones])
+@pytest.mark.parametrize("x", [2.5, 7.0, True])
+def test_closed_forms_take_only_non_bool_ints(f, x):
+    with pytest.raises(ValueError, match=r"must be an int >= 1, got"):
+        f(x)
+
+
+def test_max_with_ones_cap_is_reachable_and_enforced():
+    cap = closedforms.MAX_ONES
+    assert max_with_ones(cap) == max_partition_product(cap)
+    with pytest.raises(ValueError, match=f"<= MAX_ONES = {cap}"):
+        max_with_ones(cap + 1)
+    with pytest.raises(ValueError):
+        max_with_ones(10**9)  # fails before the quadratic DP starts
