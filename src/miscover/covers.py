@@ -244,8 +244,10 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     """Separating cover whose elements are the MISes of g, one set per vertex.
 
     Element x is the x-th MIS in canonical order (ascending member lists,
-    generated in that order by branching on the lowest undecided vertex,
-    include first, as in ``enumerate_mis``); the set for vertex v collects
+    generated in that order by ``_mis_masks``, as in ``enumerate_mis``: a
+    product over the lowest component when it lies below the rest, whose
+    MISes then decide the order, else branching on the lowest undecided
+    vertex, include first); the set for vertex v collects
     the MISes containing v.  Distinct MISes M, N are separated because
     some u in M\\N forces a neighbor v in N, and the u- and v-sets are
     disjoint.  Duplicated vertex sets are merged, so the result has at

@@ -17,14 +17,21 @@ span several components is removed first by inclusion-exclusion.  With
 nothing waiting it also splits joins.  So sparse graphs stay polynomial
 (a 128-vertex cycle counts in 20-35 ms), and a fixed memo budget makes
 every hard graph fail fast with CountBudgetError instead of running on.
-enumerate_mis keeps its own lowest-vertex recursion, whose include-first
-order yields the canonical MIS order without sorting.
+enumerate_mis splits off the component C of the lowest vertex when C
+lies wholly below the rest R, and lists every union of an MIS of C with
+an MIS of R, C-major.  That order is canonical: a sorted member tuple is
+its C-part followed by its R-part, and no MIS of C is a prefix of
+another (that would be containment), so the C-part decides.  Each factor
+splits again, so a union of cliques (the extremal graphs) never
+branches.  Otherwise it runs a lowest-vertex recursion, whose
+include-first order yields the canonical MIS order without sorting.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -266,16 +273,48 @@ def is_maximal_independent(g: Graph, s) -> bool:
 def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
     """The first ``limit`` MIS bitmasks of the subgraph induced by ``alive``.
 
-    Branches on the lowest alive vertex v, include branch first: either v
-    enters the set (N[v] leaves play), or v is excluded and recorded as
-    still needing a neighbor in the set.  Branches whose pending vertices
-    can no longer be dominated are pruned, so each emitted mask is
-    maximal.  They come in canonical order without sorting: every included
-    vertex lies below every alive one, so all sets under a node share
-    their sorted prefix; the include branch continues that prefix with v,
-    while an exclude-branch set must continue with some w > v, since it
-    cannot stop at the prefix and leave v undominated.
+    First the product split: if the component C of the lowest alive
+    vertex lies wholly below the rest R (nonempty), the MISes are the
+    unions a | b of an MIS a of C and an MIS b of R, listed C-major.  That
+    order is canonical because a sorted member tuple is its C-part
+    followed by its R-part, and no MIS of C is a prefix of another (that
+    would be containment), so the C-part decides.  Each factor splits
+    again at its own root, so a union of cliques never branches.  The
+    split is tried only at such roots, not at every branch node, so a
+    connected graph pays one flood for it.
+
+    Otherwise it branches on the lowest alive vertex v, include branch
+    first: either v enters the set (N[v] leaves play), or v is excluded
+    and recorded as still needing a neighbor in the set.  Branches whose
+    pending vertices can no longer be dominated are pruned, so each
+    emitted mask is maximal.  They come in canonical order without
+    sorting: every included vertex lies below every alive one, so all
+    sets under a node share their sorted prefix; the include branch
+    continues that prefix with v, while an exclude-branch set must
+    continue with some w > v, since it cannot stop at the prefix and
+    leave v undominated.
     """
+    comp = _flood(adj, alive, 0)
+    rest = alive & ~comp
+    if rest and comp < rest & -rest:
+        # every graph has an MIS, so each factor needs at most limit masks
+        right = _mis_masks(adj, rest, limit)
+        left = _mis_masks(adj, comp, limit)
+        if len(left) * len(right) < limit:
+            return [a | b for a in left for b in right]
+        # cut at limit: the later rows first, then the first row ORed into
+        # right in place, so that at most limit masks are ever held
+        rows: list[int] = []
+        for a in islice(left, 1, None):
+            room = limit - len(right) - len(rows)
+            if room <= 0:
+                break
+            rows += [a | b for b in islice(right, room)]
+        for i, b in enumerate(right):
+            right[i] = left[0] | b
+        right += rows
+        return right
+
     out: list[int] = []
 
     def rec(alive: int, partial: int, need: int) -> None:
@@ -299,20 +338,40 @@ def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
     return out
 
 
+def _trusted_sets(masks: list[int], n: int) -> list[VertexSet]:
+    """VertexSets for masks already known to lie in 0..n-1.
+
+    Writes the two fields straight into each instance dict, skipping the
+    frozen dataclass's __init__ and the range check of __post_init__;
+    equality, hashing and repr see the same fields as for VertexSet(m, n).
+    """
+    new = object.__new__
+    out = []
+    for m in masks:
+        s = new(VertexSet)
+        d = s.__dict__
+        d["bits"] = m
+        d["n"] = n
+        out.append(s)
+    return out
+
+
 def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     """All maximal independent sets, sorted by ascending member list.
 
     The order is canonical: compare the sorted vertex tuples
-    lexicographically, e.g. {0,2} before {1}.  It is produced directly by
-    branching on the lowest undecided vertex, include first, with no sort.
-    Raises MisCapError if more than ``cap`` sets exist, and ValueError if
-    cap is not an int >= 0.
+    lexicographically, e.g. {0,2} before {1}.  It is produced directly,
+    with no sort, by ``_mis_masks``: a product over the lowest component
+    when that component lies below the rest (the C-part of a member tuple
+    decides its order), else branching on the lowest undecided vertex,
+    include first.  Raises MisCapError if more than ``cap`` sets exist,
+    and ValueError if cap is not an int >= 0.
     """
     _check_cap(cap)
     masks = _mis_masks(g.adj, g.full_mask, cap + 1)
     if len(masks) > cap:
         raise MisCapError(cap, cap)
-    return [VertexSet(m, g.n) for m in masks]
+    return _trusted_sets(masks, g.n)
 
 
 def count_mis(g: Graph) -> int:

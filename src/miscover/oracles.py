@@ -22,8 +22,14 @@ from functools import lru_cache
 
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
-from .covers import SeparatingCover, _transpose, validate_cover
-from .graphs import Graph, Variant, VertexSet, extremal_graph, from_edges
+from .covers import (
+    SeparatingCover,
+    _transpose,
+    graph_from_cover,
+    minimal_cover,
+    validate_cover,
+)
+from .graphs import Graph, Variant, VertexSet, count_mis, extremal_graph, from_edges
 
 MAX_SCAN_VERTICES = 7  # 2**21 graphs; n = 8 would be 2**28, minutes of CPU
 
@@ -124,6 +130,18 @@ def greedy_mis_witnesses(cover: SeparatingCover) -> list[VertexSet]:
                 current |= 1 << v
         witnesses.append(VertexSet(current, len(adj)))
     return witnesses
+
+
+def _cover_witnesses(m: int):
+    """Distinct greedy witnesses for minimal_cover(m): m when all is well.
+
+    They are MISes of graph_from_cover(minimal_cover(m)), so count_mis of
+    that graph must reach their number; a shortfall is returned as text.
+    """
+    cover = minimal_cover(m)
+    found = len({w.bits for w in greedy_mis_witnesses(cover)})
+    count = count_mis(graph_from_cover(cover))
+    return found if count >= found else f"count_mis {count} < {found} witnesses"
 
 
 def brute_min_separating_sets(m: int, mode: str = "direct") -> int:
@@ -280,7 +298,8 @@ def run_verification(level: str = "quick") -> list[OracleReport]:
 
     quick keeps the graph scans at n <= 6 and complexity at m <= 300 and
     finishes well under a minute; full raises them to n = 7 / m = 500 and
-    adds the two-extremal-graphs check at n = 7.
+    adds the two-extremal-graphs check at n = 7 and the cover -> graph
+    direction: distinct greedy witnesses on minimal_cover(m), m <= 243.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -380,4 +399,8 @@ def run_verification(level: str = "quick") -> list[OracleReport]:
                 ),
             )
         )
+        for m in range(1, 244):
+            reports.append(
+                _report("cover-witnesses", m, lambda m=m: _cover_witnesses(m), m)
+            )
     return reports

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from miscover import (
     Graph,
     MisCapError,
     Variant,
+    VertexSet,
     closed_neighborhood,
     complete_graph,
+    complexity_table,
     count_mis,
     cover_from_graph,
     cycle_graph,
@@ -19,6 +22,7 @@ from miscover import (
     enumerate_mis,
     extremal_graph,
     from_edges,
+    graph_from_expression,
     graph_from_text,
     graph_to_text,
     induced_subgraph,
@@ -26,9 +30,10 @@ from miscover import (
     is_maximal_independent,
     join,
     max_partition_product,
+    minimal_expression,
     perrin,
 )
-from miscover.graphs import _bits_of, _flood
+from miscover.graphs import _bits_of, _flood, _mis_masks
 from miscover.oracles import brute_mis_masks
 
 
@@ -122,6 +127,67 @@ def seed_branch_vertex(adj: tuple[int, ...], alive: int) -> int:
         if d > best_d:
             best_v, best_d = v, d
     return best_v
+
+
+def seed_mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
+    """The MIS enumerator before its product split, verbatim: the
+    lowest-vertex recursion alone, include branch first."""
+    out: list[int] = []
+
+    def rec(alive: int, partial: int, need: int) -> None:
+        if len(out) >= limit:
+            return
+        nd = need
+        while nd:
+            low = nd & -nd
+            if not adj[low.bit_length() - 1] & alive:
+                return  # an excluded vertex can never be dominated
+            nd ^= low
+        if not alive:
+            out.append(partial)
+            return
+        bit = alive & -alive
+        nbrs = adj[bit.bit_length() - 1]
+        rec(alive & ~(nbrs | bit), partial | bit, need & ~nbrs)
+        rec(alive & ~bit, partial, need | bit)
+
+    rec(alive, 0, 0)
+    return out
+
+
+def canonical_masks(g: Graph) -> list[int]:
+    """Brute-force MIS masks, ordered by their ascending member lists."""
+    return sorted(brute_mis_masks(g), key=lambda m: list(_bits_of(m)))
+
+
+def random_union(rng: random.Random, depth: int = 2) -> Graph:
+    """A nest of disjoint unions whose leaves are small random graphs, K1s
+    and edgeless graphs (isolated vertices): at most 5 * 2**depth vertices."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.random()
+        if kind < 0.2:
+            return complete_graph(1)
+        if kind < 0.3:
+            return Graph(2, (0, 0))
+        return random_graph(rng, rng.randint(1, 5), rng.choice([0.2, 0.5, 0.8]))
+    return disjoint_union(random_union(rng, depth - 1), random_union(rng, depth - 1))
+
+
+def interleaved(g: Graph) -> tuple[Graph, bool]:
+    """g relabeled by dealing out its components' vertices round-robin,
+    largest component first, and whether the components now interleave:
+    true when there are two or more and the largest has two vertices."""
+    comps = []
+    alive = g.full_mask
+    while alive:
+        comp = seed_flood(g.adj, alive, complement=False)
+        comps.append(list(_bits_of(comp)))
+        alive &= ~comp
+    comps.sort(key=len, reverse=True)
+    order = [c[i] for i in range(len(comps[0])) for c in comps if i < len(c)]
+    pos = {v: i for i, v in enumerate(order)}
+    h = from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+    return h, len(comps) >= 2 and len(comps[0]) >= 2
 
 
 def random_cubic_graph(rng: random.Random, n: int) -> Graph:
@@ -237,6 +303,82 @@ def test_cap_must_be_a_nonnegative_int(fn, cap):
         fn(cycle_graph(5), cap=cap)
 
 
+def test_mis_masks_match_seed_recursion_on_unions():
+    # the product split must give the seed recursion's list exactly, and
+    # interleaved components must reach that recursion unsplit
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_union(rng, rng.choice([1, 2, 2, 3]))
+        h, mixed = interleaved(g)
+        for x in (g, h):
+            assert _mis_masks(x.adj, x.full_mask, 10**6) == seed_mis_masks(
+                x.adj, x.full_mask, 10**6
+            )
+        if mixed:
+            comp = seed_flood(h.adj, h.full_mask, complement=False)
+            rest = h.full_mask & ~comp
+            assert rest and comp > rest & -rest  # the fallback's condition
+
+
+def test_mis_masks_match_seed_recursion_on_extremal_graphs():
+    for n in range(1, 31):
+        for variant in Variant:
+            if variant != Variant.DEFAULT and not (n % 3 == 1 and n >= 4):
+                continue
+            g = extremal_graph(n, variant)
+            masks = _mis_masks(g.adj, g.full_mask, 10**6)
+            assert masks == seed_mis_masks(g.adj, g.full_mask, 10**6)
+            assert len(masks) == max_partition_product(n)
+
+
+def test_union_enumeration_order_is_canonical_by_brute_force():
+    rng = random.Random(31)
+    seen = 0
+    while seen < 300:
+        g = random_union(rng)
+        if g.n > 12:
+            continue
+        seen += 1
+        expected = canonical_masks(g)
+        assert [s.bits for s in enumerate_mis(g)] == expected
+        h, _ = interleaved(g)
+        assert [s.bits for s in enumerate_mis(h)] == canonical_masks(h)
+
+
+def test_mis_masks_stop_at_every_limit():
+    path4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    uneven = disjoint_union(
+        disjoint_union(cycle_graph(5), complete_graph(1)),
+        disjoint_union(path4, complete_graph(4)),
+    )  # 5 * 1 * 3 * 4 = 60 MISes
+    for g in (extremal_graph(9), uneven):
+        full = seed_mis_masks(g.adj, g.full_mask, 10**6)
+        for limit in range(len(full) + 2):
+            assert _mis_masks(g.adj, g.full_mask, limit) == full[:limit]
+        for cap in range(len(full)):
+            with pytest.raises(MisCapError) as exc:
+                enumerate_mis(g, cap=cap)
+            assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
+        assert [s.bits for s in enumerate_mis(g, cap=len(full))] == full
+
+
+def test_enumerated_sets_are_plain_vertex_sets():
+    g = disjoint_union(extremal_graph(7), cycle_graph(5))
+    sets = enumerate_mis(g)
+    public = [VertexSet(s.bits, g.n) for s in sets]
+    assert sets == public
+    assert [hash(s) for s in sets] == [hash(s) for s in public]
+    assert [repr(s) for s in sets] == [repr(s) for s in public]
+    assert all(type(s) is VertexSet for s in sets)
+    assert all(vars(s) == {"bits": s.bits, "n": g.n} for s in sets)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sets[0].bits = 0
+    # the public constructor still checks the range
+    for bits in (-1, 1 << g.n, 1 << (g.n + 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            VertexSet(bits, g.n)
+
+
 def test_count_of_empty_graph_is_one():
     # the empty set is vacuously maximal; makes the product law unital
     assert count_mis(Graph(0, ())) == 1
@@ -334,6 +476,35 @@ def test_count_mis_matches_seed_recursion():
     ]
     for g in graphs:
         assert count_mis(g) == seed_count_mis(g)
+
+
+def test_count_mis_splits_joins(monkeypatch):
+    # the join split changes speed only, never a count, so a spy on _flood
+    # pins it: some complement flood must return a proper part of alive
+    calls = []
+    real_flood = miscover.graphs._flood
+
+    def spy(adj, alive, flip):
+        comp = real_flood(adj, alive, flip)
+        calls.append((alive, flip, comp))
+        return comp
+
+    monkeypatch.setattr(miscover.graphs, "_flood", spy)
+    c5 = cycle_graph(5)
+    table = complexity_table(1000)
+    cases = [
+        (join(join(c5, c5), c5), 15),
+        (graph_from_expression(minimal_expression(7, table)), 7),
+        (graph_from_expression(minimal_expression(1000, table)), 1000),
+    ]
+    for g, expected in cases:
+        g = Graph(g.n, g.adj)  # graph_from_expression has cached its count
+        calls.clear()
+        assert count_mis(g) == expected
+        assert any(
+            flip == -1 and comp != alive and not comp & ~alive
+            for alive, flip, comp in calls
+        )
 
 
 def test_flood_is_the_component_of_the_lowest_vertex():

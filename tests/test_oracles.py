@@ -1,5 +1,6 @@
 import pytest
 
+import miscover.oracles
 from miscover import (
     Variant,
     count_mis,
@@ -8,6 +9,7 @@ from miscover import (
     min_separating_sets,
 )
 from miscover.oracles import (
+    _cover_witnesses,
     brute_complexity,
     brute_max_mis_count,
     brute_max_partition_product,
@@ -132,6 +134,15 @@ def test_run_verification_full_is_clean():
         r.quantity == "extremal-class-count" and r.input == "7" for r in reports
     )
     assert any(r.quantity == "complexity" and r.input == "500" for r in reports)
+    assert [r.input for r in reports if r.quantity == "cover-witnesses"] == [
+        str(m) for m in range(1, 244)
+    ]
+
+
+def test_cover_witnesses_report_a_count_shortfall(monkeypatch):
+    assert _cover_witnesses(100) == 100
+    monkeypatch.setattr(miscover.oracles, "count_mis", lambda g: 99)
+    assert _cover_witnesses(100) == "count_mis 99 < 100 witnesses"
 
 
 def test_run_verification_quick_is_clean():
