@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from . import expressions as ex
-from .graphs import MAX_VERTICES, Graph, complete_graph, count_mis, disjoint_union, join
+from .graphs import MAX_VERTICES, Graph, count_mis
 
 # complexity_table(MAX_TABLE_LIMIT) measured 0.8-1.0 s of CPU at a peak RSS
 # of 193-195 MiB on a 2-core x86 host, Python 3.11, numpy 2.4 (10**5: 0.01
@@ -146,21 +146,29 @@ def graph_from_expression(e: ex.Expression) -> Graph:
 
     A 1 becomes a single vertex, a sum joins the child graphs (MIS counts
     add), and a product takes their disjoint union (counts multiply).
+    The adjacency rows are built recursively, the right side's vertices
+    after the left's as in join and disjoint_union, and validated once.
     The MIS count is verified before returning.
     """
     if e.ones > MAX_VERTICES:
         raise ValueError(f"expression has {e.ones} ones; at most {MAX_VERTICES} supported")
 
-    def build(node: ex.Expression) -> Graph:
+    def build(node: ex.Expression) -> list[int]:
         if node.kind == ex.ONE:
-            return complete_graph(1)
+            return [0]
         left = build(node.left)
         right = build(node.right)
+        shift = len(left)
         if node.kind == ex.SUM:
-            return join(left, right)
-        return disjoint_union(left, right)
+            left_mask = (1 << shift) - 1
+            right_mask = ((1 << len(right)) - 1) << shift
+            return [row | right_mask for row in left] + [
+                row << shift | left_mask for row in right
+            ]
+        return left + [row << shift for row in right]
 
-    g = build(e)
+    rows = build(e)
+    g = Graph(len(rows), tuple(rows))
     count = count_mis(g)
     if g.n != e.ones or count != e.value:
         raise ValueError(

@@ -14,9 +14,14 @@ splits every disconnected alive set into components, also while excluded
 vertices still wait for a neighbor in the set: each waiting vertex goes
 with the component its alive neighbors lie in, and one whose neighbors
 span several components is removed first by inclusion-exclusion.  With
-nothing waiting it also splits joins.  So sparse graphs stay polynomial
-(a 128-vertex cycle counts in 20-35 ms), and a fixed memo budget makes
-every hard graph fail fast with CountBudgetError instead of running on.
+nothing waiting it also splits joins.  A connected remainder with nothing
+waiting goes to _narrow_count, an exact dynamic program over a greedy
+vertex elimination order with three states per vertex, unless its tables
+would exceed the budget or 3**(n//3) entries for n vertices; then the
+recursion branches, and makes no further attempt.  So narrow graphs
+count in milliseconds (a 128-vertex cycle in 2-5 ms), and a fixed memo
+budget makes every hard graph fail fast with CountBudgetError instead of
+running on.
 enumerate_mis splits off the component C of the lowest vertex when C
 lies wholly below the rest R, and lists every union of an MIS of C with
 an MIS of R, C-major.  That order is canonical: a sorted member tuple is
@@ -32,16 +37,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 128
 DEFAULT_MIS_CAP = 10_000_000
-# count_mis memo entries.  The benchmark's 36-vertex cubic graphs keep at
-# most about 4 300, 128-vertex cycles about 860.  Measured on a 2-core x86
-# host, Python 3.11: random graphs reach the budget after 9-10 s of CPU
-# (72-vertex cubic) to 12 s (128 vertices, p = 0.03), at a peak RSS of
-# 210-215 MiB, about 180 MiB above an idle interpreter.
+# count_mis memo entries, and the total table entries of one elimination
+# DP (_narrow_count), which the benchmark's relabeled 36-vertex cubic
+# graphs keep under 200 000.  Measured on a 2-core x86 host, Python 3.11: graphs the
+# DP refuses reach the memo budget after 9-10 s of CPU (72-vertex cubic)
+# to 12 s (128 vertices, p = 0.03), at a peak RSS of 210-215 MiB, about
+# 180 MiB above an idle interpreter.
 COUNT_MEMO_BUDGET = 1_000_000
 
 
@@ -399,14 +406,21 @@ def count_mis(g: Graph) -> int:
       so no call re-enters with the same alive set;
     - if nothing is pending and alive is a join (its complement is
       disconnected), the counts of the two sides add;
+    - if nothing is pending and alive has two or more vertices, the
+      elimination DP _narrow_count counts it, unless its tables would
+      hold more than COUNT_MEMO_BUDGET entries, or more than 3**(n//3)
+      for n alive vertices (there the memo recursion is faster).  After
+      one such refusal the call never tries the DP again;
     - otherwise it branches on a maximum-degree vertex: in the set, or
       excluded and pending.
 
     Unions of cliques and expression-built graphs thus resolve without
-    branching, and sparse graphs stay polynomial: a 128-vertex cycle keeps
-    about 860 memo entries, a 36-vertex cubic graph at most about 4 300.
-    The memo lives for this call only; the graph keeps the final count, so
-    a repeat call on the same Graph is O(1).
+    branching, and never reach the DP: their remainders are single
+    vertices or have something pending.  Narrow graphs are one DP call:
+    a 128-vertex cycle or a 36-vertex cubic graph takes 2-10 ms.  The
+    memo serves joins, pending sets and graphs too wide for the DP.  It
+    lives for this call only; the graph keeps the final count, so a
+    repeat call on the same Graph is O(1).
 
     Raises CountBudgetError rather than keep more than COUNT_MEMO_BUDGET
     memo entries, so every accepted graph returns or fails within about
@@ -418,8 +432,10 @@ def count_mis(g: Graph) -> int:
     adj = g.adj
     memo: dict[tuple[int, int], int] = {}
     budget = COUNT_MEMO_BUDGET
+    refused = False
 
     def cnt(alive: int, need: int) -> int:
+        nonlocal refused
         nd = need
         while nd:
             low = nd & -nd
@@ -461,18 +477,27 @@ def count_mis(g: Graph) -> int:
         elif not need and (cocomp := _flood(adj, alive, -1)) != alive:
             r = cnt(cocomp, 0) + cnt(alive & ~cocomp, 0)
         else:
-            best = -1
-            rem = alive
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                d = (adj[low.bit_length() - 1] & alive).bit_count()
-                if d > best:
-                    best, bit = d, low
-            v_adj = adj[bit.bit_length() - 1]
-            r = cnt(alive & ~(v_adj | bit), need & ~v_adj) + cnt(
-                alive & ~bit, need | bit
-            )
+            r = None
+            if not need and not refused and alive & (alive - 1):
+                # past 3**(n//3) entries, the most MISes of n = 3k vertices,
+                # the memo recursion measured faster: G(24, p = 0.3) held
+                # 7e5 entries, 75 ms against 1 ms
+                cap = min(budget, 3 ** (alive.bit_count() // 3))
+                r = _narrow_count(adj, alive, cap)
+                refused = r is None
+            if r is None:
+                best = -1
+                rem = alive
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    d = (adj[low.bit_length() - 1] & alive).bit_count()
+                    if d > best:
+                        best, bit = d, low
+                v_adj = adj[bit.bit_length() - 1]
+                r = cnt(alive & ~(v_adj | bit), need & ~v_adj) + cnt(
+                    alive & ~bit, need | bit
+                )
         if len(memo) >= budget:
             raise CountBudgetError(budget)
         memo[key] = r
@@ -484,6 +509,178 @@ def count_mis(g: Graph) -> int:
         memo.clear()  # cnt refers to itself, so without this only gc frees it
     g._cache["count_mis"] = total
     return total
+
+
+def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:
+    """MIS count of the subgraph induced by alive, by vertex elimination,
+    or None when its tables would hold more than budget entries in total.
+
+    The order is greedy minimum degree, least fill on ties (Bodlaender &
+    Koster 2010).  Eliminating v with later neighborhood L(v) costs a
+    table of 3**(|L(v)| + 1) entries, each axis one of IN, A (out, any)
+    and N (out, no IN neighbor eliminated so far); D = A - N then counts
+    the dominated outs, and in this basis merging children is a pointwise
+    product (van Rooij, Bodlaender & Rossmanith 2009).  The order is
+    complete before any table is built, so a refusal costs no DP work,
+    and a dense graph is refused on its edge count alone.
+
+    The table of v has axes v, then L(v) in elimination order, flat and
+    row-major.  It is the product of the child messages, broadcast to
+    those axes.  Then, for each true neighbor u in L(v): the IN block
+    drops u in IN (independence) and in N (v dominates it), the N block
+    drops u in IN (v's last chance of a dominator).  The message
+    IN + A - N over L(v) goes to the first vertex of L(v), whose own L
+    holds the rest of L(v).  The three blocks of v are built and summed
+    into the message one at a time, so the table is never whole.  An
+    empty L(v) closes a tree, and the count is the product over trees.
+    """
+    rows = {v: adj[v] & alive for v in _bits_of(alive)}
+    # Each elimination removes its degree in edges, so the degrees sum to
+    # at least the edge count m; by convexity the total is least when m is
+    # spread evenly, n - r vertices of degree q and r of degree q + 1.
+    n = len(rows)
+    q, r = divmod(sum(map(int.bit_count, rows.values())) // 2, n)
+    if (n + 2 * r) * 3 ** (q + 1) > budget:
+        return None
+    # (degree, twice the fill, v); a fill of -1 is not computed yet, and
+    # is computed only once its vertex is among those of least degree
+    rank = {v: (row.bit_count(), -1, v) for v, row in rows.items()}
+    unknown = alive
+    order = []
+    total = 0
+    while rank:
+        d, f, v = min(rank.values())
+        if total + 3 ** (d + 1) > budget:
+            return None
+        if f < 0:
+            for x in _bits_of(unknown):
+                if rank[x][0] == d:
+                    rank[x] = (d, _fill(rows, rows[x]), x)
+                    unknown ^= 1 << x
+            continue
+        total += 3 ** (d + 1)
+        del rank[v]
+        row = rows.pop(v)
+        order.append((v, row))
+        gone = 1 << v
+        for u in _bits_of(row):
+            rows[u] = (rows[u] | row) & ~(gone | 1 << u)
+        # a fill changes with the row, or with a new edge between two
+        # neighbors: only then can both ends of the edge lie in row
+        seen = twice = 0
+        for u in _bits_of(row):
+            twice |= seen & rows[u]
+            seen |= rows[u]
+        dirty = row | twice
+        unknown |= dirty
+        for x in _bits_of(dirty):
+            x_row = rows[x]
+            e = x_row.bit_count()
+            if e > d:
+                rank[x] = (e, -1, x)
+            else:  # likely among the least next time
+                rank[x] = (e, _fill(rows, x_row), x)
+                unknown ^= 1 << x
+
+    pos = {v: i for i, (v, _) in enumerate(order)}
+    inbox: dict[int, list] = {}
+    count = 1
+    for v, row in order:
+        later = sorted(_bits_of(row), key=pos.__getitem__)
+        block = 3 ** len(later)
+        strides = [block // 3 ** (i + 1) for i, u in enumerate(later) if adj[v] >> u & 1]
+        kids = inbox.pop(v, [])
+        for state in range(3):  # the blocks of v in IN, A, N
+            t = None
+            for kid_axes, kid in kids:
+                part = len(kid) // 3
+                piece = kid[state * part : (state + 1) * part]
+                piece = _broadcast(piece, kid_axes[1:], later)
+                t = piece if t is None else list(map(mul, t, piece))
+            if t is None:
+                t = [1] * block
+            for stride in strides:
+                if state != 1:
+                    _zero(t, stride, 0)
+                if state == 0:
+                    _zero(t, stride, 2)
+            if state == 0:
+                msg = t
+            else:
+                msg = list(map(add if state == 1 else sub, msg, t))
+            del t
+        del kids
+        if later:
+            inbox.setdefault(later[0], []).append((later, msg))
+        else:
+            count *= msg[0]
+    return count
+
+
+def _fill(rows: dict[int, int], row: int) -> int:
+    """Twice the number of edges that eliminating a vertex with this row adds."""
+    f = -row.bit_count()  # each neighbor u meets itself in row & ~rows[u]
+    m = row
+    while m:
+        low = m & -m
+        f += (row & ~rows[low.bit_length() - 1]).bit_count()
+        m ^= low
+    return f
+
+
+def _broadcast(msg: list, have: list[int], axes: list[int]) -> list:
+    """msg over the axes ``have``, a subsequence of ``axes``, repeated along
+    the missing axes."""
+    if len(have) == len(axes):
+        return msg
+    present = set(have)
+    inner = 1  # entries per step of axes[i]
+    i = len(axes) - 1
+    while i >= 0:
+        if axes[i] in present:
+            inner *= 3
+            i -= 1
+            continue
+        j = i - 1
+        while j >= 0 and axes[j] not in present:
+            j -= 1
+        rep = 3 ** (i - j)
+        msg = _repeat(msg, inner, rep)
+        inner *= rep
+        i = j
+    return msg
+
+
+def _repeat(cur: list, inner: int, rep: int) -> list:
+    """cur as (outer, inner) blocks, each block repeated rep times in a row."""
+    n = len(cur)
+    step = inner * rep
+    if n // inner <= step:
+        out = []
+        for o in range(0, n, inner):
+            out += cur[o : o + inner] * rep
+        return out
+    out = [0] * (n * rep)
+    for j in range(inner):
+        col = cur[j::inner]
+        for r in range(j, step, inner):
+            out[r::step] = col
+    return out
+
+
+def _zero(t: list, stride: int, digit: int) -> None:
+    """Zero the entries of t whose digit of this stride is digit."""
+    step = 3 * stride
+    outer = len(t) // step
+    start = digit * stride
+    if outer <= stride:
+        zeros = [0] * stride
+        for o in range(start, len(t), step):
+            t[o : o + stride] = zeros
+    else:
+        zeros = [0] * outer
+        for j in range(start, start + stride):
+            t[j::step] = zeros
 
 
 def _flood(adj: tuple[int, ...], alive: int, flip: int) -> int:

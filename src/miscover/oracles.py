@@ -175,18 +175,24 @@ def brute_min_separating_sets(m: int, mode: str = "direct") -> int:
 
 
 def brute_complexity(m: int) -> int:
-    """Least number of 1s expressing m, by reachable-value breadth search.
-
-    V(n) holds every value expressible with exactly n ones (clipped at
-    10*m, far above any subvalue a minimal expression for m can use);
-    the answer is the first level containing m.
-    """
+    """Least number of 1s expressing m, by reachable-value breadth search."""
     if not 1 <= m <= 500:
         raise ValueError(f"m must be in 1..500, got {m}")
-    cap = 10 * m
+    return _first_levels()[m]
+
+
+@lru_cache(maxsize=None)
+def _first_levels() -> dict[int, int]:
+    """The level at which each value 1..500 first appears.
+
+    V(n) holds every value expressible with exactly n ones, clipped at
+    500.  Clipping loses nothing: x + y and x * y are both at least
+    max(x, y) for positive x and y, so every subvalue of an expression is
+    at most its value.  One search answers every m <= 500.
+    """
+    cap = 500
     levels: list[set[int]] = [set(), {1}]
-    if m == 1:
-        return 1
+    first = {1: 1}
     for n in itertools.count(2):
         cur: set[int] = set()
         for a in range(1, n // 2 + 1):
@@ -198,8 +204,10 @@ def brute_complexity(m: int) -> int:
                     p = x * y
                     if p <= cap:
                         cur.add(p)
-        if m in cur:
-            return n
+        for v in cur:
+            first.setdefault(v, n)
+        if len(first) == cap:
+            return first
         levels.append(cur)
 
 

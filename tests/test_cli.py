@@ -85,11 +85,14 @@ print(json.dumps(seen))
 def test_numpy_free_commands_never_import_numpy(tmp_path):
     # start-up cost: numpy is most of a fresh interpreter's import time, and
     # only the table, cover and oracle functions use it
-    graph = tmp_path / "g.txt"
+    # the cycle is counted by the elimination DP, the extremal graph by splits
+    graph, cycle = tmp_path / "g.txt", tmp_path / "c.txt"
     write_graph_text(extremal_graph(5), graph)
+    write_graph_text(cycle_graph(24), cycle)
     free = [
         ["ell", "10"], ["s", "10"], ["perrin", "10"], ["maxones", "7"],
         ["mis", "--count", "--graph", str(graph)], ["mis", "--list", "--graph", str(graph)],
+        ["mis", "--count", "--graph", str(cycle)],
         ["extremal", "7"], ["expr-graph", "(1+1)((1+1)(1+1)+1)"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
@@ -102,6 +105,7 @@ def test_numpy_free_commands_never_import_numpy(tmp_path):
     assert [(name, code, loaded) for name, code, loaded, _ in rows] == [
         (name, 0, False) for name, *_ in rows
     ]
+    assert rows[7][3] == f"{perrin(24)}\n"  # the cycle's count
     assert expr == ["expr 10", 0, True, "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"]
 
 

@@ -170,6 +170,27 @@ def test_graph_from_expression_examples():
     assert g == disjoint_union(complete_graph(2), complete_graph(3))
 
 
+def test_graph_from_expression_equals_joins_and_unions():
+    # the graph built node by node with the public join and disjoint_union,
+    # as the reference for the rows built in one pass
+    from miscover import complete_graph, disjoint_union, join
+    from miscover import expressions as ex
+
+    def compose(node):
+        if node.kind == ex.ONE:
+            return complete_graph(1)
+        left, right = compose(node.left), compose(node.right)
+        return (join if node.kind == ex.SUM else disjoint_union)(left, right)
+
+    table = complexity_table(20_000)
+    for m in list(range(1, 200)) + list(range(19_900, 20_001)):
+        e = minimal_expression(m, table)
+        assert graph_from_expression(e) == compose(e)
+    for text in ("1+1", "(1+1)(1+1+1)", "(1+1)((1+1)(1+1)+1)", "((1+1)(1+1)+1)(1+1)+1"):
+        e = parse_expression(text)
+        assert graph_from_expression(e) == compose(e)
+
+
 def test_graph_from_expression_rejects_too_many_ones():
     t = parse_expression("+".join(["1"] * 129))
     with pytest.raises(ValueError):

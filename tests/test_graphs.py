@@ -33,7 +33,7 @@ from miscover import (
     minimal_expression,
     perrin,
 )
-from miscover.graphs import _bits_of, _flood, _mis_masks
+from miscover.graphs import COUNT_MEMO_BUDGET, _bits_of, _flood, _mis_masks, _narrow_count
 from miscover.oracles import brute_mis_masks
 
 
@@ -459,7 +459,7 @@ def test_count_mis_keeps_only_the_count_and_fails_fast(monkeypatch):
     assert g._cache == {"count_mis": total}  # the memo died with the call
 
 
-def test_count_mis_matches_seed_recursion():
+def seed_check_graphs() -> list[Graph]:
     rng = random.Random(19)
     graphs = [
         random_graph(rng, rng.randint(1, 30), p)
@@ -474,8 +474,127 @@ def test_count_mis_matches_seed_recursion():
         for legs in (2, 3, 4)
         for length in (1, 2, 3, 5)
     ]
-    for g in graphs:
+    return graphs
+
+
+def test_count_mis_matches_seed_recursion():
+    for g in seed_check_graphs():
         assert count_mis(g) == seed_count_mis(g)
+
+
+def test_count_mis_matches_seed_recursion_without_the_dp(monkeypatch):
+    # the sparse graphs above mostly go to the elimination DP; refused, they
+    # keep the memo recursion's component split and inclusion-exclusion checked
+    monkeypatch.setattr(miscover.graphs, "_narrow_count", lambda *args: None)
+    for g in seed_check_graphs():
+        assert count_mis(g) == seed_count_mis(g)
+
+
+def narrow(g: Graph, budget: int = COUNT_MEMO_BUDGET):
+    return _narrow_count(g.adj, g.full_mask, budget)
+
+
+def path_graph(n: int) -> Graph:
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_narrow_count_matches_seed_recursion():
+    rng = random.Random(29)
+    graphs = [random_cubic_graph(rng, n) for n in range(4, 37, 2) for _ in range(2)]
+    graphs += [prism_graph(k) for k in range(3, 19)]
+    graphs += [cycle_graph(n) for n in range(3, 65)]
+    graphs += [path_graph(n) for n in range(2, 65)]
+    graphs += [
+        spider_graph(rng, hubs, legs, length)
+        for hubs in (1, 2, 3)
+        for legs in (2, 3, 4)
+        for length in (1, 2, 3, 5)
+    ]
+    for g in graphs:
+        assert narrow(g) == seed_count_mis(g)
+    answered = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(2, 40), rng.choice([0.02, 0.05, 0.1]))
+        got = narrow(g)
+        if got is not None:
+            answered += 1
+            assert got == seed_count_mis(g)
+    assert answered >= 140  # some G(40, 0.1) are too wide for the budget
+
+
+def test_narrow_count_against_brute_force():
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        got = narrow(g)
+        if n <= 10:  # n * 3**n entries at most: always within the budget
+            assert got is not None
+        assert got is None or got == len(brute_mis_masks(g))
+
+
+def test_narrow_count_against_networkx_cliques_of_complement():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 30), rng.choice([0.05, 0.1, 0.2]))
+        got = narrow(g)
+        if got is not None:
+            h = nx.empty_graph(g.n)
+            h.add_edges_from(g.edges())
+            assert got == sum(1 for _ in nx.find_cliques(nx.complement(h)))
+
+
+def test_narrow_count_refuses_past_its_budget():
+    # minimum degree eliminates a cycle down to a triangle, 27 entries a
+    # vertex, then an edge (9) and a vertex (3)
+    for n in (3, 4, 12, 40):
+        need = 27 * (n - 2) + 9 + 3
+        assert narrow(cycle_graph(n), need) == perrin(n)
+        assert narrow(cycle_graph(n), need - 1) is None
+    # a path sheds an end vertex at a time: 9 entries each, 3 for the last,
+    # which is also the least any graph with as many vertices and edges needs
+    for n in (2, 3, 10, 64):
+        need = 9 * (n - 1) + 3
+        assert narrow(path_graph(n), need) == seed_count_mis(path_graph(n))
+        assert narrow(path_graph(n), need - 1) is None
+    assert narrow(prism_graph(18), 50) is None  # 3**4 at the first vertex
+    assert narrow(complete_graph(20)) is None  # refused on its edge count
+
+
+def test_count_mis_hands_narrow_remainders_to_the_dp(monkeypatch):
+    calls = []
+    real = miscover.graphs._narrow_count
+
+    def spy(adj, alive, budget):
+        got = real(adj, alive, budget)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(miscover.graphs, "_narrow_count", spy)
+    table = complexity_table(1000)
+    cographs = [(extremal_graph(n), max_partition_product(n)) for n in (2, 10, 30, 128)]
+    cographs += [(extremal_graph(13, Variant.K4), max_partition_product(13))]
+    cographs += [
+        (graph_from_expression(minimal_expression(m, table)), m) for m in (7, 100, 1000)
+    ]
+    for g, expected in cographs:
+        calls.clear()
+        assert count_mis(Graph(g.n, g.adj)) == expected  # a fresh Graph, no cached count
+        assert calls == []
+    calls.clear()
+    assert count_mis(prism_graph(18)) == 5780
+    assert calls == [5780]
+    calls.clear()
+    count_mis(random_graph(random.Random(2), 128, 0.5))
+    assert calls == [None]  # refused once, then the memo alone
+    # tables within the budget, but far past 3**8 = 6561 for 24 vertices,
+    # where the memo recursion is faster
+    g = random_graph(random.Random(3), 24, 0.3)
+    assert real(g.adj, g.full_mask, COUNT_MEMO_BUDGET) is not None
+    calls.clear()
+    assert count_mis(g) == seed_count_mis(g)
+    assert calls == [None]
 
 
 def test_count_mis_splits_joins(monkeypatch):
