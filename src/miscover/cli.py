@@ -134,8 +134,21 @@ def _cmd_mis(args) -> int:
     if args.count:
         print(count_mis(g))
     else:
-        for s in enumerate_mis(g):
-            print(" ".join(map(str, s.members())))
+        # one line per set, members ascending: byte k of a mask indexes the
+        # 256 strings of the vertices 8k..8k+7 it may hold
+        width = (g.n + 7) // 8
+        tables = [
+            [" ".join(str(8 * k + i) for i in range(8) if b >> i & 1) for b in range(256)]
+            for k in range(width)
+        ]
+        sets = enumerate_mis(g)
+        for start in range(0, len(sets), 4096):  # write in bounded blocks
+            lines = []
+            for s in sets[start : start + 4096]:
+                chunks = map(list.__getitem__, tables, s.bits.to_bytes(width, "little"))
+                lines.append(" ".join(filter(None, chunks)))
+            lines.append("")
+            sys.stdout.write("\n".join(lines))
     return 0
 
 

@@ -247,7 +247,8 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     generated in that order by ``_mis_masks``, as in ``enumerate_mis``: a
     product over the lowest component when it lies below the rest, whose
     MISes then decide the order, else branching on the lowest undecided
-    vertex, include first); the set for vertex v collects
+    vertex, include first, with a waiting vertex's one alive neighbor
+    forced into the set); the set for vertex v collects
     the MISes containing v.  Distinct MISes M, N are separated because
     some u in M\\N forces a neighbor v in N, and the u- and v-sets are
     disjoint.  Duplicated vertex sets are merged, so the result has at

@@ -29,7 +29,12 @@ its C-part followed by its R-part, and no MIS of C is a prefix of
 another (that would be containment), so the C-part decides.  Each factor
 splits again, so a union of cliques (the extremal graphs) never
 branches.  Otherwise it runs a lowest-vertex recursion, whose
-include-first order yields the canonical MIS order without sorting.
+include-first order yields the canonical MIS order without sorting.  Like
+count_mis, it forces the one alive neighbor of a waiting vertex into the
+set without branching.  The order holds even when a forced vertex lies
+above the lowest undecided vertex v: all sets under a node agree below v,
+the include branch continues with v, and an exclude-branch set must
+continue above v, or it would lie inside an include-branch set.
 """
 
 from __future__ import annotations
@@ -292,14 +297,18 @@ def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
 
     Otherwise it branches on the lowest alive vertex v, include branch
     first: either v enters the set (N[v] leaves play), or v is excluded
-    and recorded as still needing a neighbor in the set.  Branches whose
-    pending vertices can no longer be dominated are pruned, so each
-    emitted mask is maximal.  They come in canonical order without
-    sorting: every included vertex lies below every alive one, so all
-    sets under a node share their sorted prefix; the include branch
-    continues that prefix with v, while an exclude-branch set must
-    continue with some w > v, since it cannot stop at the prefix and
-    leave v undominated.
+    and recorded as still needing a neighbor in the set.  Each node first
+    scans its pending vertices, as count_mis does: one with no alive
+    neighbor prunes the node, and one with a single alive neighbor w
+    forces w into the set (N[w] leaves play, N(w) leaves the pending
+    set) and restarts the scan.  So each emitted mask is maximal.
+
+    The masks come in canonical order without sorting, and so does every
+    prefix cut at limit.  Every vertex below v is decided, so all sets
+    under a node agree below v.  The include branch continues them with
+    v.  An exclude-branch set must continue with some vertex above v:
+    otherwise it would lie inside an include-branch set, since no neighbor
+    of the alive v is in it.  Forced vertices above v do not change this.
     """
     comp = _flood(adj, alive, 0)
     rest = alive & ~comp
@@ -330,9 +339,17 @@ def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
         nd = need
         while nd:
             low = nd & -nd
-            if not adj[low.bit_length() - 1] & alive:
+            reach = adj[low.bit_length() - 1] & alive
+            if not reach:
                 return  # an excluded vertex can never be dominated
-            nd ^= low
+            if reach & (reach - 1):
+                nd ^= low
+            else:  # forced: the one alive neighbor w enters the set
+                w_adj = adj[reach.bit_length() - 1]
+                alive &= ~(w_adj | reach)
+                partial |= reach
+                need &= ~w_adj
+                nd = need
         if not alive:
             out.append(partial)
             return
@@ -371,7 +388,8 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     with no sort, by ``_mis_masks``: a product over the lowest component
     when that component lies below the rest (the C-part of a member tuple
     decides its order), else branching on the lowest undecided vertex,
-    include first.  Raises MisCapError if more than ``cap`` sets exist,
+    include first, with a waiting vertex's one alive neighbor forced into
+    the set.  Raises MisCapError if more than ``cap`` sets exist,
     and ValueError if cap is not an int >= 0.
     """
     _check_cap(cap)

@@ -19,6 +19,7 @@ from miscover import (
     count_mis,
     cover_from_graph,
     cycle_graph,
+    enumerate_mis,
     extremal_graph,
     graph_from_text,
     perrin,
@@ -247,6 +248,26 @@ def test_mis_count_and_list(tmp_path, capsys):
     assert len(lines) == 6
     assert lines[0] == "0 3"
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [prism_graph(12), extremal_graph(24), complete_graph(128), complete_graph(0)],
+    ids=["cubic-24", "extremal-24", "K128", "empty"],
+)
+def test_mis_list_prints_what_print_would(tmp_path, capsys, g):
+    # lines are formatted from the masks by table lookup and written in
+    # blocks; the bytes must be those of one print per set
+    path = tmp_path / "g.txt"
+    write_graph_text(g, path)
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        for s in enumerate_mis(g):
+            print(" ".join(map(str, s.members())))
+    assert run(["mis", "--list", "--graph", str(path)]) == 0
+    assert out_of(capsys) == expected.getvalue()
+    if g.n == 0:
+        assert expected.getvalue() == "\n"
 
 
 def test_extremal_variants(tmp_path, capsys):

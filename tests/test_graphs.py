@@ -351,7 +351,9 @@ def test_mis_masks_stop_at_every_limit():
         disjoint_union(cycle_graph(5), complete_graph(1)),
         disjoint_union(path4, complete_graph(4)),
     )  # 5 * 1 * 3 * 4 = 60 MISes
-    for g in (extremal_graph(9), uneven):
+    # a prism and a spider branch, and their pending vertices force often
+    spider = spider_graph(random.Random(43), 2, 3, 3)
+    for g in (extremal_graph(9), uneven, prism_graph(6), spider):
         full = seed_mis_masks(g.adj, g.full_mask, 10**6)
         for limit in range(len(full) + 2):
             assert _mis_masks(g.adj, g.full_mask, limit) == full[:limit]
@@ -360,6 +362,63 @@ def test_mis_masks_stop_at_every_limit():
                 enumerate_mis(g, cap=cap)
             assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
         assert [s.bits for s in enumerate_mis(g, cap=len(full))] == full
+
+
+def sparse_connected_graphs() -> list[Graph]:
+    """Shapes where a pending vertex often has one alive neighbor left."""
+    rng = random.Random(37)
+    graphs = [random_cubic_graph(rng, n) for n in range(4, 31, 2)]
+    graphs += [prism_graph(k) for k in range(3, 16)]
+    graphs += [
+        spider_graph(rng, hubs, legs, length)
+        for hubs in (1, 2, 3)
+        for legs in (2, 3, 4)
+        for length in (1, 2, 3, 5)
+    ]
+    graphs += [cycle_graph(n) for n in range(4, 41, 4)]
+    graphs += [path_graph(n) for n in range(4, 41, 4)]
+    return graphs
+
+
+def test_mis_masks_match_seed_recursion_on_sparse_graphs():
+    rng = random.Random(41)
+    graphs = sparse_connected_graphs()
+    graphs += [
+        random_graph(rng, rng.randint(1, 30), p) for p in (0.05, 0.1, 0.2) for _ in range(20)
+    ]
+    graphs += [interleaved(extremal_graph(n))[0] for n in range(2, 22)]
+    for g in graphs:
+        assert _mis_masks(g.adj, g.full_mask, 10**6) == seed_mis_masks(
+            g.adj, g.full_mask, 10**6
+        )
+
+
+def test_sparse_enumeration_order_is_canonical_by_brute_force():
+    for g in sparse_connected_graphs():
+        if g.n <= 14:
+            assert [s.bits for s in enumerate_mis(g)] == canonical_masks(g)
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_forced_steps_read_fewer_rows():
+    # the forced step changes speed only, so count the adjacency rows read
+    g = prism_graph(10)
+    reads = []
+    for enumerate_masks in (_mis_masks, seed_mis_masks):
+        rows = CountingRows(g.adj)
+        masks = enumerate_masks(rows, g.full_mask, 10**6)
+        reads.append(rows.reads)
+        assert len(masks) == count_mis(g)
+    assert 2 * reads[0] <= reads[1]
 
 
 def test_enumerated_sets_are_plain_vertex_sets():
