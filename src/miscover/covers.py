@@ -252,7 +252,10 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     the MISes containing v.  Distinct MISes M, N are separated because
     some u in M\\N forces a neighbor v in N, and the u- and v-sets are
     disjoint.  Duplicated vertex sets are merged, so the result has at
-    most g.n sets.
+    most g.n sets.  ``_mis_masks`` returns all masks or None, so a graph
+    over the cap is refused without building a partial list; a union is
+    refused once its first factors show that the rest, capped at ``cap``
+    divided by their product, cannot fit.
 
     Isolated vertices (for g.n >= 2) are rejected: such a vertex lies in
     every MIS, so no pair of MISes could ever be separated.  Raises
@@ -271,8 +274,8 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
             f"vertex {isolated[0]} is isolated; its MIS-membership set would "
             f"intersect every other and the cover could not separate"
         )
-    mis = _mis_masks(g.adj, g.full_mask, cap + 1)
-    if len(mis) > cap:
+    mis = _mis_masks(g.adj, g.full_mask, cap)
+    if mis is None:
         raise MisCapError(cap, cap)
     return SeparatingCover(len(mis), _transpose(mis, g.n))
 

@@ -28,20 +28,23 @@ an MIS of R, C-major.  That order is canonical: a sorted member tuple is
 its C-part followed by its R-part, and no MIS of C is a prefix of
 another (that would be containment), so the C-part decides.  Each factor
 splits again, so a union of cliques (the extremal graphs) never
-branches.  Otherwise it runs a lowest-vertex recursion, whose
-include-first order yields the canonical MIS order without sorting.  Like
-count_mis, it forces the one alive neighbor of a waiting vertex into the
-set without branching.  The order holds even when a forced vertex lies
-above the lowest undecided vertex v: all sets under a node agree below v,
-the include branch continues with v, and an exclude-branch set must
-continue above v, or it would lie inside an include-branch set.
+branches.  It returns all masks or None, never a prefix: C is listed
+first, and R under the cap divided by C's count, which is exact because
+every graph has an MIS.  So a union over the cap is refused after
+listing a few small factors, not after cap + 1 sets.  Otherwise it runs
+a lowest-vertex recursion, whose include-first order yields the
+canonical MIS order without sorting.  Like count_mis, it forces the one
+alive neighbor of a waiting vertex into the set without branching.  The
+order holds even when a forced vertex lies above the lowest undecided
+vertex v: all sets under a node agree below v, the include branch
+continues with v, and an exclude-branch set must continue above v, or it
+would lie inside an include-branch set.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,13 +61,14 @@ COUNT_MEMO_BUDGET = 1_000_000
 
 
 class MisCapError(RuntimeError):
-    """Raised when enumeration would exceed its cap; carries the partial count."""
+    """Raised when enumeration would exceed its cap.
+
+    partial_count always equals cap: a union over the cap is refused
+    without listing its sets, so no count beyond the cap is known.
+    """
 
     def __init__(self, cap: int, partial_count: int):
-        super().__init__(
-            f"number of maximal independent sets exceeds cap {cap} "
-            f"({partial_count} enumerated)"
-        )
+        super().__init__(f"number of maximal independent sets exceeds cap {cap}")
         self.cap = cap
         self.partial_count = partial_count
 
@@ -282,59 +286,55 @@ def is_maximal_independent(g: Graph, s) -> bool:
     return True
 
 
-def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
-    """The first ``limit`` MIS bitmasks of the subgraph induced by ``alive``.
+def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
+    """Every MIS bitmask of the subgraph induced by ``alive``, in canonical
+    order, or None once more than ``cap`` exist.
 
     First the product split: if the component C of the lowest alive
     vertex lies wholly below the rest R (nonempty), the MISes are the
     unions a | b of an MIS a of C and an MIS b of R, listed C-major.  That
     order is canonical because a sorted member tuple is its C-part
     followed by its R-part, and no MIS of C is a prefix of another (that
-    would be containment), so the C-part decides.  Each factor splits
-    again at its own root, so a union of cliques never branches.  The
-    split is tried only at such roots, not at every branch node, so a
-    connected graph pays one flood for it.
+    would be containment), so the C-part decides.  C is listed first (its
+    masks are ``left``), and R under the cap ``cap // len(left)``: every
+    graph has an MIS, so the product fits the cap exactly when R has at
+    most that many.  A union
+    over the cap is thus refused after listing a few small factors.  Each
+    factor splits again at its own root, so a union of cliques never
+    branches.  The split is tried only at such roots, not at every branch
+    node, so a connected graph pays one flood for it.
 
     Otherwise it branches on the lowest alive vertex v, include branch
-    first: either v enters the set (N[v] leaves play), or v is excluded
-    and recorded as still needing a neighbor in the set.  Each node first
-    scans its pending vertices, as count_mis does: one with no alive
-    neighbor prunes the node, and one with a single alive neighbor w
-    forces w into the set (N[w] leaves play, N(w) leaves the pending
-    set) and restarts the scan.  So each emitted mask is maximal.
+    first, and stops after cap + 1 masks: either v enters the set (N[v]
+    leaves play), or v is excluded and recorded as still needing a
+    neighbor in the set.  Each node first scans its pending vertices, as
+    count_mis does: one with no alive neighbor prunes the node, and one
+    with a single alive neighbor w forces w into the set (N[w] leaves
+    play, N(w) leaves the pending set) and restarts the scan.  So each
+    emitted mask is maximal.
 
-    The masks come in canonical order without sorting, and so does every
-    prefix cut at limit.  Every vertex below v is decided, so all sets
-    under a node agree below v.  The include branch continues them with
-    v.  An exclude-branch set must continue with some vertex above v:
-    otherwise it would lie inside an include-branch set, since no neighbor
-    of the alive v is in it.  Forced vertices above v do not change this.
+    The masks come in canonical order without sorting.  Every vertex
+    below v is decided, so all sets under a node agree below v.  The
+    include branch continues them with v.  An exclude-branch set must
+    continue with some vertex above v: otherwise it would lie inside an
+    include-branch set, since no neighbor of the alive v is in it.  Forced
+    vertices above v do not change this.
     """
     comp = _flood(adj, alive, 0)
     rest = alive & ~comp
     if rest and comp < rest & -rest:
-        # every graph has an MIS, so each factor needs at most limit masks
-        right = _mis_masks(adj, rest, limit)
-        left = _mis_masks(adj, comp, limit)
-        if len(left) * len(right) < limit:
-            return [a | b for a in left for b in right]
-        # cut at limit: the later rows first, then the first row ORed into
-        # right in place, so that at most limit masks are ever held
-        rows: list[int] = []
-        for a in islice(left, 1, None):
-            room = limit - len(right) - len(rows)
-            if room <= 0:
-                break
-            rows += [a | b for b in islice(right, room)]
-        for i, b in enumerate(right):
-            right[i] = left[0] | b
-        right += rows
-        return right
+        left = _mis_masks(adj, comp, cap)
+        if left is None:
+            return None
+        right = _mis_masks(adj, rest, cap // len(left))
+        if right is None:
+            return None
+        return [a | b for a in left for b in right]
 
     out: list[int] = []
 
     def rec(alive: int, partial: int, need: int) -> None:
-        if len(out) >= limit:
+        if len(out) > cap:
             return
         nd = need
         while nd:
@@ -359,7 +359,7 @@ def _mis_masks(adj: tuple[int, ...], alive: int, limit: int) -> list[int]:
         rec(alive & ~bit, partial, need | bit)
 
     rec(alive, 0, 0)
-    return out
+    return out if len(out) <= cap else None
 
 
 def _trusted_sets(masks: list[int], n: int) -> list[VertexSet]:
@@ -389,12 +389,16 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     when that component lies below the rest (the C-part of a member tuple
     decides its order), else branching on the lowest undecided vertex,
     include first, with a waiting vertex's one alive neighbor forced into
-    the set.  Raises MisCapError if more than ``cap`` sets exist,
-    and ValueError if cap is not an int >= 0.
+    the set.  ``_mis_masks`` returns all masks or None, so no partial list
+    is built for a graph over the cap: a union of parts is refused once
+    its first factors show that the rest cannot fit, each later factor
+    capped at ``cap`` divided by the product of those before it; a
+    connected graph stops after cap + 1 sets.  Raises MisCapError if more
+    than ``cap`` sets exist, and ValueError if cap is not an int >= 0.
     """
     _check_cap(cap)
-    masks = _mis_masks(g.adj, g.full_mask, cap + 1)
-    if len(masks) > cap:
+    masks = _mis_masks(g.adj, g.full_mask, cap)
+    if masks is None:
         raise MisCapError(cap, cap)
     return _trusted_sets(masks, g.n)
 

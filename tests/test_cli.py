@@ -238,6 +238,16 @@ def test_mis_count_over_budget_is_one_line_error(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command", [["mis", "--list"], ["cover-from-graph"]])
+def test_enumeration_over_the_cap_is_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "g.txt"
+    write_graph_text(extremal_graph(128), path)  # 2 * 3**42, about 2.2e20 MISes
+    assert run(command + ["--graph", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: number of maximal independent sets exceeds cap 10000000")
+
+
 def test_mis_count_and_list(tmp_path, capsys):
     path = tmp_path / "g.txt"
     write_graph_text(extremal_graph(5), path)

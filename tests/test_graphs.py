@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -345,7 +346,7 @@ def test_union_enumeration_order_is_canonical_by_brute_force():
         assert [s.bits for s in enumerate_mis(h)] == canonical_masks(h)
 
 
-def test_mis_masks_stop_at_every_limit():
+def test_mis_masks_stop_at_every_cap():
     path4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     uneven = disjoint_union(
         disjoint_union(cycle_graph(5), complete_graph(1)),
@@ -355,13 +356,29 @@ def test_mis_masks_stop_at_every_limit():
     spider = spider_graph(random.Random(43), 2, 3, 3)
     for g in (extremal_graph(9), uneven, prism_graph(6), spider):
         full = seed_mis_masks(g.adj, g.full_mask, 10**6)
-        for limit in range(len(full) + 2):
-            assert _mis_masks(g.adj, g.full_mask, limit) == full[:limit]
         for cap in range(len(full)):
+            assert _mis_masks(g.adj, g.full_mask, cap) is None
             with pytest.raises(MisCapError) as exc:
                 enumerate_mis(g, cap=cap)
             assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
+        for cap in (len(full), len(full) + 1):
+            assert _mis_masks(g.adj, g.full_mask, cap) == full
         assert [s.bits for s in enumerate_mis(g, cap=len(full))] == full
+
+
+@pytest.mark.parametrize("fn", [enumerate_mis, cover_from_graph])
+def test_union_over_the_cap_is_refused_before_listing(fn):
+    # 3**20 MISes: the product split refuses after a few triangles, so no
+    # list of masks near the cap's size is ever built
+    g = extremal_graph(60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MisCapError):
+            fn(g, cap=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def sparse_connected_graphs() -> list[Graph]:
@@ -539,6 +556,15 @@ def seed_check_graphs() -> list[Graph]:
 def test_count_mis_matches_seed_recursion():
     for g in seed_check_graphs():
         assert count_mis(g) == seed_count_mis(g)
+
+
+def test_count_mis_splits_components_while_vertices_are_pending():
+    # the DP refuses this graph, so the memo counts it: in about 0.5 s with
+    # the component split under pending vertices and its straddler
+    # inclusion-exclusion.  Splitting only with nothing pending, or not
+    # splitting past a straddler, each reached CountBudgetError after 7-10 s.
+    g = random_graph(random.Random(1), 64, 0.08)
+    assert count_mis(g) == seed_count_mis(g) == 837_605
 
 
 def test_count_mis_matches_seed_recursion_without_the_dp(monkeypatch):
