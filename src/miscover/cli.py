@@ -1,48 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain failure (bad value, invalid cover, cap
-overflow), 2 usage error.  Standard output is deterministic for identical
-inputs; timing and progress notes go to standard error.
+overflow, out of memory), 2 usage error.  Standard output is deterministic
+for identical inputs; timing and progress notes go to standard error.
+
+Each command imports the library modules it runs inside its own body, so
+``miscover ell 10`` loads ``closedforms`` alone and only the cover, table
+and oracle commands load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-
-from .closedforms import (
-    max_partition_product,
-    max_with_ones,
-    min_separating_sets,
-    perrin,
-)
-from .complexity import (
-    _csv_blocks,
-    complexity_table,
-    graph_from_expression,
-    minimal_expression,
-)
-from .covers import (
-    cover_from_graph,
-    cover_to_json,
-    graph_from_cover,
-    minimal_cover,
-    read_cover_json,
-    validate_cover,
-    write_cover_json,
-)
-from .expressions import format_expression, parse_expression
-from .graphs import (
-    MisCapError,
-    Variant,
-    count_mis,
-    enumerate_mis,
-    extremal_graph,
-    graph_to_text,
-    read_graph_text,
-    write_graph_text,
-)
-from .oracles import run_verification
 
 # The largest arguments whose answers print under Python's default limit of
 # 4 300 digits for int-to-str conversion: ell(27 037) and perrin(35 210)
@@ -63,6 +34,8 @@ def _printable(name: str, value: int, bound: int) -> int:
 
 
 def _emit_graph(g, out: str | None) -> None:
+    from .graphs import graph_to_text, write_graph_text
+
     if out:
         write_graph_text(g, out)
         print(f"wrote graph ({g.n} vertices) to {out}", file=sys.stderr)
@@ -71,6 +44,8 @@ def _emit_graph(g, out: str | None) -> None:
 
 
 def _emit_cover(cover, out: str | None) -> None:
+    from .covers import cover_to_json, write_cover_json
+
     if out:
         write_cover_json(cover, out)
         print(
@@ -83,26 +58,36 @@ def _emit_cover(cover, out: str | None) -> None:
 
 
 def _cmd_ell(args) -> int:
+    from .closedforms import max_partition_product
+
     print(max_partition_product(_printable("n", args.n, ELL_MAX_N)))
     return 0
 
 
 def _cmd_s(args) -> int:
+    from .closedforms import min_separating_sets
+
     print(min_separating_sets(args.m))
     return 0
 
 
 def _cmd_perrin(args) -> int:
+    from .closedforms import perrin
+
     print(perrin(_printable("j", args.j, PERRIN_MAX_J)))
     return 0
 
 
 def _cmd_maxones(args) -> int:
+    from .closedforms import max_with_ones
+
     print(max_with_ones(args.n))
     return 0
 
 
 def _cmd_complexity(args) -> int:
+    from .complexity import _csv_blocks, complexity_table
+
     table = complexity_table(args.max)
     blocks = _csv_blocks(table, table.limit)
     if args.csv:
@@ -115,6 +100,9 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_expr(args) -> int:
+    from .complexity import complexity_table, minimal_expression
+    from .expressions import format_expression
+
     table = complexity_table(args.m)
     e = minimal_expression(args.m, table)
     print(format_expression(e))
@@ -124,12 +112,17 @@ def _cmd_expr(args) -> int:
 
 
 def _cmd_expr_graph(args) -> int:
+    from .complexity import graph_from_expression
+    from .expressions import parse_expression
+
     g = graph_from_expression(parse_expression(args.expression))
     _emit_graph(g, args.out)
     return 0
 
 
 def _cmd_mis(args) -> int:
+    from .graphs import count_mis, enumerate_mis, read_graph_text
+
     g = read_graph_text(args.graph)
     if args.count:
         print(count_mis(g))
@@ -153,6 +146,8 @@ def _cmd_mis(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .graphs import Variant, extremal_graph
+
     variant = {
         None: Variant.DEFAULT,
         "two-edges": Variant.TWO_EDGES,
@@ -163,21 +158,30 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_cover_from_graph(args) -> int:
+    from .covers import cover_from_graph
+    from .graphs import read_graph_text
+
     _emit_cover(cover_from_graph(read_graph_text(args.graph)), args.out)
     return 0
 
 
 def _cmd_graph_from_cover(args) -> int:
+    from .covers import graph_from_cover, read_cover_json
+
     _emit_graph(graph_from_cover(read_cover_json(args.cover)), args.out)
     return 0
 
 
 def _cmd_minimal_cover(args) -> int:
+    from .covers import minimal_cover
+
     _emit_cover(minimal_cover(args.m), args.out)
     return 0
 
 
 def _cmd_validate_cover(args) -> int:
+    from .covers import read_cover_json, validate_cover
+
     report = validate_cover(read_cover_json(args.cover))
     print(f"covering {'yes' if report.covering else 'no'}")
     print(f"separating {'yes' if report.separating else 'no'}")
@@ -189,6 +193,8 @@ def _cmd_validate_cover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracles import run_verification
+
     reports = run_verification(args.level)
     for r in reports:
         print(r.tsv_line(include_elapsed=False))
@@ -289,12 +295,25 @@ def run(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, MisCapError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as e:
+        message = str(e)
+    except MemoryError as e:
+        message = str(e) or "out of memory"
+    except RuntimeError as e:
+        from .graphs import MisCapError  # only a raised error pays for this import
+
+        if not isinstance(e, MisCapError):
+            raise
+        message = str(e)
+    # printed once the except clause has let go of the failed call's frames
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:
+    # numpy's bundled OpenBLAS starts a thread per core when it loads, and
+    # miscover calls no BLAS routine; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

@@ -7,11 +7,14 @@ left-inverse pair (``min_separating_sets(max_partition_product(n)) == n``),
 which the test suite verifies against brute-force search.
 """
 
-from .graphs import _is_index
-
 # max_with_ones is a quadratic DP over big ints: 2 000 took 0.8 s of CPU on
 # a 2-core x86 host, Python 3.11 (1 000: 0.11 s, 4 000: 6.7 s).
 MAX_ONES = 2000
+
+
+def _is_index(x) -> bool:
+    """A non-negative int that is not a bool (JSON true would pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _check_positive(name: str, x) -> None:

@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .closedforms import min_separating_sets
+from .closedforms import _is_index, min_separating_sets
 from .graphs import (
     DEFAULT_MIS_CAP,
     MAX_VERTICES,
@@ -62,7 +62,6 @@ from .graphs import (
     _bits_of,
     _check_cap,
     _clique_sizes,
-    _is_index,
     _mis_masks,
 )
 

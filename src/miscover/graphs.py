@@ -49,6 +49,8 @@ from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .closedforms import _is_index
+
 MAX_VERTICES = 128
 DEFAULT_MIS_CAP = 10_000_000
 # count_mis memo entries, and the total table entries of one elimination
@@ -116,11 +118,6 @@ def _bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _is_index(x) -> bool:
-    """A non-negative int that is not a bool (JSON true would pass as 1)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _check_cap(cap) -> None:

@@ -71,14 +71,16 @@ def test_maxones_over_cap_is_one_line_error(capsys):
 
 NUMPY_FREE = """
 import contextlib, io, json, sys
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("miscover"))
 import miscover
+seen = [["import miscover", 0, "numpy" in sys.modules, "", loaded()]]
 from miscover.cli import run
-seen = [["import miscover", 0, "numpy" in sys.modules, ""]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
-    seen.append([" ".join(argv), code, "numpy" in sys.modules, out.getvalue()])
+    seen.append([" ".join(argv), code, "numpy" in sys.modules, out.getvalue(), loaded()])
 print(json.dumps(seen))
 """
 
@@ -96,18 +98,65 @@ def test_numpy_free_commands_never_import_numpy(tmp_path):
         ["mis", "--count", "--graph", str(cycle)],
         ["extremal", "7"], ["expr-graph", "(1+1)((1+1)(1+1)+1)"],
     ]
+    with_numpy = [["expr", "10"], ["minimal-cover", "5"], ["verify"]]
     env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE, json.dumps(free + [["expr", "10"]])],
+        [sys.executable, "-c", NUMPY_FREE, json.dumps(free + with_numpy)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    *rows, expr = json.loads(proc.stdout)
-    assert [(name, code, loaded) for name, code, loaded, _ in rows] == [
-        (name, 0, False) for name, *_ in rows
+    rows = json.loads(proc.stdout)
+    assert [(name, code, numpy) for name, code, numpy, *_ in rows] == [
+        (name, 0, i > len(free)) for i, (name, *_) in enumerate(rows)
     ]
     assert rows[7][3] == f"{perrin(24)}\n"  # the cycle's count
-    assert expr == ["expr 10", 0, True, "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"]
+    assert rows[10][3] == "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"  # expr 10
+    # what each command loads, cumulatively, since the commands run in one
+    # process in ascending order of what they need
+    base = ["miscover", "miscover.cli", "miscover.closedforms"]
+    graphs = sorted(base + ["miscover.graphs"])
+    expr = sorted(graphs + ["miscover.complexity", "miscover.expressions"])
+    covers = sorted(expr + ["miscover.covers"])
+    everything = sorted(covers + ["miscover.oracles"])
+    expected = [["miscover"], *[base] * 4, *[graphs] * 4, expr, expr, covers, everything]
+    assert [row[4] for row in rows] == expected
+
+
+BLAS_DEFAULT = """
+import os, sys
+from miscover.cli import main
+seen = []
+for preset in (None, "2"):
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    if preset:
+        os.environ["OPENBLAS_NUM_THREADS"] = preset
+    sys.argv = ["miscover", "s", "1"]
+    try:
+        main()
+    except SystemExit as e:
+        seen.append([e.code, os.environ.get("OPENBLAS_NUM_THREADS")])
+print(seen)
+"""
+
+
+def test_main_defaults_blas_to_one_thread():
+    # numpy's OpenBLAS would start a thread per core at load; miscover
+    # calls no BLAS routine, and a value the user set is kept
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_DEFAULT], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n1\n[[0, '1'], [0, '2']]\n"), proc.stderr
+
+
+def test_memory_error_is_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("miscover.cli._cmd_s", exhausted)
+    assert run(["s", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_usage_errors_exit_2(capsys):

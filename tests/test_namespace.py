@@ -1,0 +1,77 @@
+"""The public ``miscover`` namespace, whose names load from submodules on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import miscover
+
+PUBLIC = {
+    "closedforms": [
+        "max_partition_product", "max_with_ones", "min_separating_sets", "perrin",
+    ],
+    "complexity": [
+        "ComplexityTable", "complexity_csv", "complexity_table",
+        "graph_from_expression", "minimal_expression",
+    ],
+    "covers": [
+        "CoverReport", "CoverValidationError", "SeparatingCover", "cover_from_graph",
+        "cover_from_json", "cover_to_json", "graph_from_cover", "minimal_cover",
+        "read_cover_json", "validate_cover", "write_cover_json",
+    ],
+    "expressions": [
+        "Expression", "ExpressionSyntaxError", "add", "format_expression", "mul",
+        "one", "parse_expression",
+    ],
+    "graphs": [
+        "COUNT_MEMO_BUDGET", "DEFAULT_MIS_CAP", "MAX_VERTICES", "CountBudgetError",
+        "Graph", "MisCapError", "Variant", "VertexSet", "closed_neighborhood",
+        "complete_graph", "count_mis", "cycle_graph", "delete_vertices",
+        "disjoint_union", "enumerate_mis", "extremal_graph", "from_edges",
+        "graph_from_text", "graph_to_text", "induced_subgraph", "is_independent",
+        "is_maximal_independent", "join", "read_graph_text", "write_graph_text",
+    ],
+    "oracles": [
+        "OracleReport", "brute_complexity", "brute_max_mis_count",
+        "brute_max_partition_product", "brute_mis_masks",
+        "brute_min_separating_sets", "canonical_form", "extremal_graphs_up_to_iso",
+        "greedy_mis_witnesses", "run_verification",
+    ],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def test_public_names_are_the_62_of_each_submodule():
+    assert len(NAMES) == 62
+    assert sorted(miscover.__all__) == NAMES
+    for module, names in PUBLIC.items():
+        defining = importlib.import_module(f"miscover.{module}")
+        for name in names:
+            assert getattr(miscover, name) is getattr(defining, name), name
+    assert set(NAMES) <= set(dir(miscover))
+    assert miscover.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from miscover import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        miscover.no_such_name
+    assert not hasattr(miscover, "_csv_blocks")  # private names stay in their module
+
+
+def test_submodules_resolve_after_a_bare_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    code = "import miscover; print(miscover.graphs.count_mis(miscover.cycle_graph(10)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "17\n"), proc.stderr

@@ -17,3 +17,38 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imports_run_at_import(tree):
+    """The import statements a module runs when it is imported: not in a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return ["." * node.level + (node.module or "")]
+
+
+def test_start_up_imports_stay_lazy():
+    # every CLI call pays for what its modules import at import time: numpy
+    # loads inside the functions that use it, and the package and the CLI
+    # load a submodule only when one of its names is used
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _imports_run_at_import(tree):
+            for module in _imported_modules(node):
+                eager_numpy = module.split(".")[0] == "numpy"
+                eager_submodule = path.name in ("__init__.py", "cli.py") and (
+                    module.startswith(".") or module.split(".")[0] == "miscover"
+                )
+                if eager_numpy or eager_submodule:
+                    found.append(f"{path.name}:{node.lineno} {module}")
+    assert found == []
