@@ -5,8 +5,8 @@ overflow, out of memory), 2 usage error.  Standard output is deterministic
 for identical inputs; timing and progress notes go to standard error.
 
 Each command imports the library modules it runs inside its own body, so
-``miscover ell 10`` loads ``closedforms`` alone and only the cover, table
-and oracle commands load numpy.
+``miscover ell 10`` loads ``closedforms`` alone and only the table
+commands (``complexity``, ``expr``) and ``verify`` load numpy.
 """
 
 from __future__ import annotations

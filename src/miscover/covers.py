@@ -14,10 +14,11 @@ here realize both directions of that bound:
 Ground elements are labeled 0..m-1 and sets are stored as bitmasks.
 ``_transpose`` turns per-set element masks into per-element set masks
 ("signatures") and back; it also turns MIS vertex masks into per-vertex
-MIS masks.  It unpacks the masks into a byte matrix with numpy, one
-bounded tile at a time and only up to the longest mask, so a conversion
-costs about the size of the masks and of the result, never sets times
-ground size.
+MIS masks.  It packs the masks' 64-bit words column by column into one
+Python int per bounded tile, transposes every 64x64 bit block of it with
+six mask-and-shift swaps, and reads the transposed words back, only up to
+the longest mask and skipping zero words, so a conversion costs about
+the size of the masks and of the result, never sets times ground size.
 
 ``_disjointness`` gives, per set, the mask of the sets disjoint from it,
 by one mask AND per pair of sets; it is also the adjacency of
@@ -39,9 +40,9 @@ valid cover, distinct x and y are split by disjoint sets S containing x
 and T containing y, which are adjacent in the graph, so no independent
 set holds both and the MISes extending the signatures of x and y differ.
 
-numpy is imported inside the three functions that use it (``_transpose``,
-``_members_mask``, ``SeparatingCover.set_members``), so that importing the
-package does not load it.
+The module uses no numpy: its bit conversions are big-int, bytes and
+``struct`` operations, as fast as numpy at the sizes the cover commands
+meet, and a command that loads no numpy starts about 100 ms sooner.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ import functools
 import itertools
 import json
 import math
+import re
+import struct
 from dataclasses import dataclass
+from operator import and_, rshift
 from pathlib import Path
 
 from .closedforms import _is_index, min_separating_sets
@@ -65,37 +69,106 @@ from .graphs import (
     _mis_masks,
 )
 
+# bytes.translate tables between flag bytes (0, 1) and binary digits ("0", "1")
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# zero bytes that set_members skips: shorter runs cost less to read bit by bit
+_ZERO_RUN = re.compile(rb"\0{32,}")
+_WORD = (1 << 64) - 1
+
+
+def _block_level(d: int) -> tuple[int, bytes]:
+    """Shift and 512-byte mask of the swap that trades bit d of row and column.
+
+    In a block of 64 little-endian 64-bit words, bit c of word r sits at
+    64 * r + c.  The mask picks the bits whose row r has bit d clear and
+    whose column c has it set; each one swaps with the bit at (r + d, c - d),
+    63 * d places up.
+    """
+    column = _WORD // ((1 << 2 * d) - 1) * ((1 << d) - 1) << d
+    return 63 * d, (column.to_bytes(8, "little") * d + bytes(8 * d)) * (32 // d)
+
+
+_BLOCK_LEVELS = [_block_level(1 << i) for i in range(6)]
+
+
+def _transpose_blocks(data: bytes, masks) -> bytes:
+    """Transpose each 64x64 bit block (512 bytes) of data, in big-int operations."""
+    x = int.from_bytes(data, "little")
+    for shift, mask in masks:
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x.to_bytes(len(data), "little")
+
 
 def _transpose(rows, width: int) -> list[int]:
     """Bit-matrix transpose: bit i of result[j] is bit j of rows[i].
 
-    Columns past the longest row are zero and cost nothing.  The rest is
-    unpacked one tile at a time: at most 2**16 rows (MIS masks can be
-    millions) by as many columns as keep the tile near 16 MiB (sets can
-    span 10**7 elements).  With more than one column tile, each row is
-    converted to bytes once, in its own length, so a sparse row on a large
-    ground set costs its own size, not the width, in every tile.
+    Columns past the longest row are zero and cost nothing.  The rest goes
+    through 64x64 bit blocks.  Each word column of a tile of rows is packed
+    as bytes, all blocks are transposed at once by ``_transpose_blocks``,
+    and the transposed words are read back, by one ``struct.unpack`` when
+    the tile has at most 64 rows.  Word columns that are zero in a tile are
+    skipped.  A tile holds at most 2**16 rows (MIS masks can be millions;
+    the tiles' columns are joined at the end) by as many words as keep it
+    near 2 MiB (sets can span 10**7 elements).  Rows of up to two words
+    (vertex masks) are packed by ``struct`` a word column at a time.
+    Longer rows are converted to bytes once, in their own length, so a
+    sparse row on a large ground set costs its own size, not the width, in
+    every tile.
     """
-    import numpy as np
-
-    used = min(width, max((r.bit_length() for r in rows), default=0))
-    height = 1 << 16  # a multiple of 8, so the packed row blocks join exactly
-    step = max(8, ((1 << 24) // max(1, min(len(rows), height))) & ~7)
-    wide = used > step  # several column tiles
-    rows = [r.to_bytes((r.bit_length() + 7) // 8, "little") for r in rows] if wide else rows
-    out = [0] * width
-    for lo in range(0, used, step):
-        n = min(step, used - lo)
-        a, b = lo // 8, (lo + n + 7) // 8
-        blocks = []
-        for r0 in range(0, len(rows), height):
-            raw = b"".join(
-                r[a:b].ljust(b - a, b"\0") if wide else r.to_bytes(b, "little")
-                for r in rows[r0 : r0 + height]
-            )
-            bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, b - a), 1, n, "little")
-            blocks.append(np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little"))
-        out[lo : lo + n] = [int.from_bytes(c, "little") for c in np.concatenate(blocks, 1)]
+    used = min(width, max(map(int.bit_length, rows), default=0))
+    words = (used + 63) // 64
+    narrow = words <= 2
+    height = min(1 << 16, -(-len(rows) // 64) * 64 or 64)  # rows per tile
+    step = (1 << 18) // height  # words per row in one tile
+    blocks = min(words, step) * height // 64
+    masks = [(shift, int.from_bytes(p * blocks, "little")) for shift, p in _BLOCK_LEVELS]
+    zero = bytes(8 * height)
+    tiles = []
+    for r0 in range(0, len(rows), height):
+        tile = list(rows[r0 : r0 + height])
+        tile += [0] * (height - len(tile))
+        if not narrow:
+            tile = [r.to_bytes(8 * ((r.bit_length() + 63) // 64), "little") for r in tile]
+        cols = [0] * (64 * words)
+        for a in range(0, words, step):
+            nw = min(step, words - a)
+            if narrow:  # one tile of columns
+                low = tile if words == 1 else map(and_, tile, itertools.repeat(_WORD))
+                high = map(rshift, tile, itertools.repeat(64))
+                packed = [struct.pack(f"<{height}Q", *col) for col in (low, high)[:words]]
+            else:
+                joined = b"".join([r[8 * a : 8 * (a + nw)].ljust(8 * nw, b"\0") for r in tile])
+                units = memoryview(joined).cast("Q")
+                packed = [units[c::nw].tobytes() for c in range(nw)]
+            found = {a + c: p for c, p in enumerate(packed) if p != zero}
+            if not found:
+                continue
+            t = _transpose_blocks(b"".join(found.values()), masks)
+            if height == 64:  # a word column is one block, whose words are its columns
+                values = struct.unpack(f"<{len(t) // 8}Q", t)
+                for i, c in enumerate(found):
+                    cols[64 * c : 64 * c + 64] = values[64 * i : 64 * i + 64]
+            else:  # column k of a word column joins word k of each of its blocks
+                units = memoryview(t).cast("Q")
+                for i, c in enumerate(found):
+                    cols[64 * c : 64 * c + 64] = [
+                        int.from_bytes(units[k : height * (i + 1) : 64].tobytes(), "little")
+                        for k in range(height * i, height * i + 64)
+                    ]
+        tiles.append(cols)
+    if len(tiles) > 1:  # each column is its tiles' bits end to end
+        out = [
+            int.from_bytes(b"".join([c.to_bytes(height // 8, "little") for c in col]), "little")
+            if any(col)
+            else 0
+            for col in zip(*tiles)
+        ]
+    else:
+        out = tiles[0] if tiles else []
+    del out[used:]
+    out += [0] * (width - used)
     return out
 
 
@@ -110,23 +183,25 @@ def _disjointness(sets) -> list[int]:
 
 
 def _members_mask(i: int, members: list, ground_size: int) -> int:
-    """Element mask of set i's member list, checked and scattered by numpy.
+    """Element mask of set i's member list, checked and then scattered.
 
-    numpy's int64 cast reads True as 1 and 0.5 as 0, so the types and the
-    range are checked first; a list failing either goes to the Python loop,
-    which only names the first bad element.  An empty list gives 0.
+    The types and the range are checked first, in passes that run in C; a
+    list failing either goes to the Python loop, which only names the first
+    bad element.  The mask is one flag byte per element from the least
+    member to the greatest, greatest first, read as a binary numeral, so
+    it costs the set's span, not the ground set.  An empty list gives 0.
     """
+    if not members:
+        return 0
     types = set(map(type, members))
     ints = bool not in types and all(issubclass(t, int) for t in types)
-    if not (ints and min(members, default=0) >= 0 and max(members, default=-1) < ground_size):
+    if not (ints and (lo := min(members)) >= 0 and (hi := max(members)) < ground_size):
         bad = next(x for x in members if not _is_index(x) or x >= ground_size)
         raise ValueError(f"set {i}: element {bad!r} is not an integer in 0..{ground_size - 1}")
-    import numpy as np
-
-    a = np.array(members, np.int64)
-    buf = np.zeros((a.max(initial=-1) >> 3) + 1, np.uint8)  # sized by the set, not the ground set
-    np.bitwise_or.at(buf, a >> 3, np.left_shift(1, a & 7).astype(np.uint8))
-    return int.from_bytes(buf.tobytes(), "little")
+    flags = bytearray(hi - lo + 1)
+    for x in members:
+        flags[hi - x] = 1
+    return int(flags.translate(_FLAG_DIGITS), 2) << lo
 
 
 @dataclass(frozen=True)
@@ -137,14 +212,14 @@ class SeparatingCover:
     rejects empty or out-of-range ones; storing an empty set would add
     nothing to covering and only trivially to separation.  A set may be
     an element mask or an iterable of elements; ground_size is at most
-    2**63, so that every element fits numpy's int64.
+    2**63, so that every element fits a signed 64-bit integer.
     """
 
     ground_size: int
     sets: tuple[int, ...]
 
     def __init__(self, ground_size: int, sets):
-        if not _is_index(ground_size) or ground_size > 2**63:  # elements are int64 in numpy
+        if not _is_index(ground_size) or ground_size > 2**63:  # elements fit int64
             raise ValueError(f"ground_size must be an int in 0..2**63, got {ground_size!r}")
         masks = []
         for i, s in enumerate(sets):
@@ -158,13 +233,17 @@ class SeparatingCover:
         object.__setattr__(self, "sets", tuple(dict.fromkeys(masks)))
 
     def set_members(self, i: int) -> tuple[int, ...]:
-        import numpy as np
-
+        # the binary digits of each stretch of bytes between long zero runs,
+        # lowest first, pick the members out of a count
         s = self.sets[i]
-        raw = np.frombuffer(s.to_bytes((s.bit_length() + 7) // 8, "little"), np.uint8)
-        nonzero = np.flatnonzero(raw)  # unpack only the bytes holding members
-        pos = np.flatnonzero(np.unpackbits(raw[nonzero], bitorder="little"))
-        return tuple((nonzero[pos >> 3] * 8 + (pos & 7)).tolist())
+        raw = s.to_bytes((s.bit_length() + 7) // 8, "little")
+        members: list[int] = []
+        a = 0
+        for b, end in [*(run.span() for run in _ZERO_RUN.finditer(raw)), (len(raw), 0)]:
+            digits = bin(int.from_bytes(raw[a:b], "little"))[:1:-1].encode()
+            members += itertools.compress(itertools.count(8 * a), digits.translate(_DIGIT_FLAGS))
+            a = end
+        return tuple(members)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -254,7 +333,8 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     most g.n sets.  ``_mis_masks`` returns all masks or None, so a graph
     over the cap is refused without building a partial list; a union is
     refused once its first factors show that the rest, capped at ``cap``
-    divided by their product, cannot fit.
+    divided by their product, cannot fit, and a connected graph once
+    count_mis, asked after MIS_COUNT_PROBE sets, finds it over the cap.
 
     Isolated vertices (for g.n >= 2) are rejected: such a vertex lies in
     every MIS, so no pair of MISes could ever be separated.  Raises
@@ -313,8 +393,8 @@ def minimal_cover(m: int) -> SeparatingCover:
 
     m is bounded by 10**6.  At that bound this call took about 15 ms of
     CPU, and ``miscover minimal-cover 1000000 --out F`` about 5 s of wall
-    time and 253 MiB peak RSS, nearly all of it formatting 90 MB of JSON
-    (2-core x86, Python 3.11, numpy 2.4).
+    time and 242 MiB peak RSS, nearly all of it formatting 90 MB of JSON
+    (2-core x86, Python 3.11).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

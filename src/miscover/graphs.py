@@ -33,12 +33,15 @@ first, and R under the cap divided by C's count, which is exact because
 every graph has an MIS.  So a union over the cap is refused after
 listing a few small factors, not after cap + 1 sets.  Otherwise it runs
 a lowest-vertex recursion, whose include-first order yields the
-canonical MIS order without sorting.  Like count_mis, it forces the one
-alive neighbor of a waiting vertex into the set without branching.  The
-order holds even when a forced vertex lies above the lowest undecided
-vertex v: all sets under a node agree below v, the include branch
-continues with v, and an exclude-branch set must continue above v, or it
-would lie inside an include-branch set.
+canonical MIS order without sorting.  Once it has listed more than
+MIS_COUNT_PROBE sets under a larger cap, it asks count_mis whether they
+all fit, so a connected graph over the cap is refused after about 0.1 s,
+not after cap + 1 sets; a graph too hard to count goes on listing.  Like
+count_mis, it forces the one alive neighbor of a waiting vertex into the
+set without branching.  The order holds even when a forced vertex lies
+above the lowest undecided vertex v: all sets under a node agree below
+v, the include branch continues with v, and an exclude-branch set must
+continue above v, or it would lie inside an include-branch set.
 """
 
 from __future__ import annotations
@@ -60,13 +63,20 @@ DEFAULT_MIS_CAP = 10_000_000
 # to 12 s (128 vertices, p = 0.03), at a peak RSS of 210-215 MiB, about
 # 180 MiB above an idle interpreter.
 COUNT_MEMO_BUDGET = 1_000_000
+# masks a connected graph lists before its enumeration asks count_mis
+# whether the cap can hold them all (about 0.1 s of listing, and ten times
+# the benchmark's largest enumeration, 6 561 sets), and the memo entries
+# that count may keep: on G(128, 0.03), which it cannot count, the probe
+# took 1.0 s of CPU, against 12.5 s for the full budget and 160 s for
+# listing cap + 1 = 10**7 + 1 masks (2-core x86 host, Python 3.11)
+MIS_COUNT_PROBE = 65_536
 
 
 class MisCapError(RuntimeError):
     """Raised when enumeration would exceed its cap.
 
-    partial_count always equals cap: a union over the cap is refused
-    without listing its sets, so no count beyond the cap is known.
+    partial_count always equals cap: a graph over the cap is refused
+    without listing all its sets, so no count beyond the cap is known.
     """
 
     def __init__(self, cap: int, partial_count: int):
@@ -302,13 +312,15 @@ def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
     node, so a connected graph pays one flood for it.
 
     Otherwise it branches on the lowest alive vertex v, include branch
-    first, and stops after cap + 1 masks: either v enters the set (N[v]
-    leaves play), or v is excluded and recorded as still needing a
-    neighbor in the set.  Each node first scans its pending vertices, as
-    count_mis does: one with no alive neighbor prunes the node, and one
-    with a single alive neighbor w forces w into the set (N[w] leaves
-    play, N(w) leaves the pending set) and restarts the scan.  So each
-    emitted mask is maximal.
+    first, and stops after cap + 1 masks, or after MIS_COUNT_PROBE + 1
+    when the cap is larger and count_mis, asked then with a memo budget of
+    MIS_COUNT_PROBE entries, finds more than cap MISes: either v enters
+    the set (N[v] leaves play), or v is excluded and recorded as still
+    needing a neighbor in the set.  Each node first scans its pending
+    vertices, as count_mis does: one with no alive neighbor prunes the
+    node, and one with a single alive neighbor w forces w into the set
+    (N[w] leaves play, N(w) leaves the pending set) and restarts the scan.
+    So each emitted mask is maximal.
 
     The masks come in canonical order without sorting.  Every vertex
     below v is decided, so all sets under a node agree below v.  The
@@ -329,10 +341,17 @@ def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
         return [a | b for a in left for b in right]
 
     out: list[int] = []
+    limit = min(cap, MIS_COUNT_PROBE)  # then cap, once count_mis allows it
+    whole = alive
 
     def rec(alive: int, partial: int, need: int) -> None:
-        if len(out) > cap:
-            return
+        nonlocal limit
+        if len(out) > limit:
+            if limit == cap:
+                return
+            if _count_exceeds(adj, whole, cap):
+                raise _OverCap
+            limit = cap
         nd = need
         while nd:
             low = nd & -nd
@@ -355,8 +374,28 @@ def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
         rec(alive & ~(nbrs | bit), partial | bit, need & ~nbrs)
         rec(alive & ~bit, partial, need | bit)
 
-    rec(alive, 0, 0)
+    try:
+        rec(alive, 0, 0)
+    except _OverCap:
+        return None
     return out if len(out) <= cap else None
+
+
+class _OverCap(Exception):
+    """Ends an enumeration that its MIS count has shown to be over the cap."""
+
+
+def _count_exceeds(adj: tuple[int, ...], alive: int, cap: int) -> bool:
+    """Whether the subgraph induced by alive has more than cap MISes.
+
+    The count keeps at most MIS_COUNT_PROBE memo entries, about the work
+    of the listing so far; a graph too hard to count within them answers
+    False, so its enumeration goes on listing.
+    """
+    try:
+        return _count_alive(adj, alive, MIS_COUNT_PROBE) > cap
+    except CountBudgetError:
+        return False
 
 
 def _trusted_sets(masks: list[int], n: int) -> list[VertexSet]:
@@ -390,8 +429,10 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     is built for a graph over the cap: a union of parts is refused once
     its first factors show that the rest cannot fit, each later factor
     capped at ``cap`` divided by the product of those before it; a
-    connected graph stops after cap + 1 sets.  Raises MisCapError if more
-    than ``cap`` sets exist, and ValueError if cap is not an int >= 0.
+    connected graph stops after MIS_COUNT_PROBE + 1 sets if count_mis
+    finds it over the cap, else after cap + 1 sets.  Raises MisCapError
+    if more than ``cap`` sets exist, and ValueError if cap is not an int
+    >= 0.
     """
     _check_cap(cap)
     masks = _mis_masks(g.adj, g.full_mask, cap)
@@ -446,11 +487,15 @@ def count_mis(g: Graph) -> int:
     20 s of CPU time and 220 MiB (measured; see the constant).
     """
     total = g._cache.get("count_mis")
-    if total is not None:
-        return total
-    adj = g.adj
+    if total is None:
+        total = g._cache["count_mis"] = _count_alive(g.adj, g.full_mask, COUNT_MEMO_BUDGET)
+    return total
+
+
+def _count_alive(adj: tuple[int, ...], alive: int, budget: int) -> int:
+    """count_mis of the subgraph induced by alive, uncached, with a memo
+    and DP budget of ``budget`` entries."""
     memo: dict[tuple[int, int], int] = {}
-    budget = COUNT_MEMO_BUDGET
     refused = False
 
     def cnt(alive: int, need: int) -> int:
@@ -523,11 +568,9 @@ def count_mis(g: Graph) -> int:
         return r
 
     try:
-        total = cnt(g.full_mask, 0)
+        return cnt(alive, 0)
     finally:
         memo.clear()  # cnt refers to itself, so without this only gc frees it
-    g._cache["count_mis"] = total
-    return total
 
 
 def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:

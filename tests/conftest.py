@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from miscover import complexity_table, from_edges
+from miscover import complexity_table, extremal_graph, from_edges
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5):
@@ -27,6 +27,12 @@ def prism_graph(k: int):
         2 * k,
         ring + [(k + u, k + v) for u, v in ring] + [(i, k + i) for i in range(k)],
     )
+
+
+def chain_of_triangles(k: int):
+    """k triangles, each joined to the next by one edge: a connected graph."""
+    g = extremal_graph(3 * k)
+    return from_edges(3 * k, [*g.edges(), *((3 * i + 2, 3 * i + 3) for i in range(k - 1))])
 
 
 def all_graphs(n: int):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import miscover
 import miscover.graphs
-from conftest import prism_graph
+from conftest import chain_of_triangles, prism_graph
 from miscover import (
     complete_graph,
     count_mis,
@@ -22,6 +22,7 @@ from miscover import (
     enumerate_mis,
     extremal_graph,
     graph_from_text,
+    minimal_cover,
     perrin,
     write_cover_json,
     write_graph_text,
@@ -87,18 +88,21 @@ print(json.dumps(seen))
 
 def test_numpy_free_commands_never_import_numpy(tmp_path):
     # start-up cost: numpy is most of a fresh interpreter's import time, and
-    # only the table, cover and oracle functions use it
+    # only the table and oracle functions use it
     # the cycle is counted by the elimination DP, the extremal graph by splits
-    graph, cycle = tmp_path / "g.txt", tmp_path / "c.txt"
+    graph, cycle, cover = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "c.json"
     write_graph_text(extremal_graph(5), graph)
     write_graph_text(cycle_graph(24), cycle)
+    write_cover_json(minimal_cover(10), cover)
     free = [
         ["ell", "10"], ["s", "10"], ["perrin", "10"], ["maxones", "7"],
         ["mis", "--count", "--graph", str(graph)], ["mis", "--list", "--graph", str(graph)],
         ["mis", "--count", "--graph", str(cycle)],
         ["extremal", "7"], ["expr-graph", "(1+1)((1+1)(1+1)+1)"],
+        ["minimal-cover", "5"], ["validate-cover", "--cover", str(cover)],
+        ["graph-from-cover", "--cover", str(cover)], ["cover-from-graph", "--graph", str(graph)],
     ]
-    with_numpy = [["expr", "10"], ["minimal-cover", "5"], ["verify"]]
+    with_numpy = [["expr", "10"], ["verify"]]
     env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE, json.dumps(free + with_numpy)],
@@ -110,7 +114,8 @@ def test_numpy_free_commands_never_import_numpy(tmp_path):
         (name, 0, i > len(free)) for i, (name, *_) in enumerate(rows)
     ]
     assert rows[7][3] == f"{perrin(24)}\n"  # the cycle's count
-    assert rows[10][3] == "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"  # expr 10
+    assert rows[11][3] == "covering yes\nseparating yes\n"  # validate-cover
+    assert rows[14][3] == "1+(1+1+1)(1+1+1)\nvalue 10\nones 7\n"  # expr 10
     # what each command loads, cumulatively, since the commands run in one
     # process in ascending order of what they need
     base = ["miscover", "miscover.cli", "miscover.closedforms"]
@@ -118,7 +123,7 @@ def test_numpy_free_commands_never_import_numpy(tmp_path):
     expr = sorted(graphs + ["miscover.complexity", "miscover.expressions"])
     covers = sorted(expr + ["miscover.covers"])
     everything = sorted(covers + ["miscover.oracles"])
-    expected = [["miscover"], *[base] * 4, *[graphs] * 4, expr, expr, covers, everything]
+    expected = [["miscover"], *[base] * 4, *[graphs] * 4, expr, *[covers] * 5, everything]
     assert [row[4] for row in rows] == expected
 
 
@@ -289,12 +294,15 @@ def test_mis_count_over_budget_is_one_line_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [["mis", "--list"], ["cover-from-graph"]])
 def test_enumeration_over_the_cap_is_one_line_error(tmp_path, capsys, command):
+    # a union, refused by its factors, and a connected graph, refused by
+    # count_mis: 2 * 3**42 (about 2.2e20) and 267 914 296 MISes
     path = tmp_path / "g.txt"
-    write_graph_text(extremal_graph(128), path)  # 2 * 3**42, about 2.2e20 MISes
-    assert run(command + ["--graph", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: number of maximal independent sets exceeds cap 10000000")
+    for graph in (extremal_graph(128), chain_of_triangles(20)):
+        write_graph_text(graph, path)
+        assert run(command + ["--graph", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: number of maximal independent sets exceeds cap 10000000")
 
 
 def test_mis_count_and_list(tmp_path, capsys):

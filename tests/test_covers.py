@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -291,6 +292,48 @@ def test_transpose_matches_bitwise_reference(k, width, span):
             expected[j] |= 1 << i
     assert _transpose(rows, width) == expected
     assert _transpose(expected, k) == rows
+
+
+@pytest.mark.parametrize(
+    "k, width, reach, span",
+    [
+        (64, 200, 200, 200),  # one block of 64 rows, read back by struct
+        (65, 200, 200, 200),  # a second block of rows
+        (70_000, 128, 128, 8),  # rows of two words, over two tiles of rows
+        (300, 50_000, 50_000, 1),  # single bits: most word columns are zero
+        (10, 5000, 100, 100),  # width past the longest row
+    ],
+)
+def test_transpose_matches_bitwise_reference_on_dense_blocks(k, width, reach, span):
+    # rows of random bits in a window of span bits below reach, some empty
+    rng = random.Random(k + width + span)
+    rows = [
+        rng.getrandbits(span) << rng.randrange(reach - span + 1) if rng.random() < 0.9 else 0
+        for _ in range(k)
+    ]
+    expected = [0] * width
+    for i, r in enumerate(rows):
+        for j in _bits_of(r):
+            expected[j] |= 1 << i
+    assert _transpose(rows, width) == expected
+    assert _transpose(expected, k) == rows
+
+
+def test_member_lists_round_trip_through_masks():
+    m = 10**7
+    rng = random.Random(5)
+    gaps = [rng.choice((1, 7, 250, 256, 257, 600)) for _ in range(400)]
+    spread = [0, *itertools.accumulate(gaps)]  # zero runs near 32 bytes
+    for ground, lists in (
+        (40, [[7, 3, 7, 0, 39, 3], [5, 5]]),  # unsorted, duplicated
+        (m, [[0, m - 1], [m - 1], [m - 2, 5, m - 2]]),  # far members
+        (70, [list(range(70))[::-1]]),  # the whole ground set
+        (m, [spread, spread[::-1][1:]]),
+    ):
+        c = SeparatingCover(ground, lists)
+        assert c.sets == tuple(map(seed_mask, lists))
+        members = [c.set_members(i) for i in range(len(lists))]
+        assert members == [tuple(sorted(set(s))) for s in lists]
 
 
 def test_sparse_cover_on_large_ground_set_matches_seed_code():

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import miscover.graphs
-from conftest import all_graphs, prism_graph, random_graph
+from conftest import all_graphs, chain_of_triangles, prism_graph, random_graph
 from miscover import (
     CountBudgetError,
     Graph,
@@ -379,6 +379,56 @@ def test_union_over_the_cap_is_refused_before_listing(fn):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def spy_on_counts(monkeypatch) -> list[int]:
+    """The alive mask of each count that enumeration asks for, as it asks."""
+    calls = []
+    count = miscover.graphs._count_alive
+
+    def spy(adj, alive, budget):
+        calls.append(alive)
+        return count(adj, alive, budget)
+
+    monkeypatch.setattr(miscover.graphs, "_count_alive", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fn", [enumerate_mis, cover_from_graph])
+def test_connected_graph_over_the_cap_is_refused_at_the_probe(fn, monkeypatch):
+    # 267 914 296 MISes, which count_mis finds in milliseconds, so the
+    # listing stops at MIS_COUNT_PROBE masks (0.1 s), not at cap + 1 (15 s)
+    g = chain_of_triangles(20)
+    calls = spy_on_counts(monkeypatch)
+    with pytest.raises(MisCapError) as exc:
+        fn(g, cap=10**7)
+    assert exc.value.cap == 10**7
+    assert calls == [g.full_mask]
+    assert count_mis(g) == 267_914_296
+
+
+def test_mis_masks_probe_keeps_every_list_and_refusal(monkeypatch):
+    # past a probe of 3 or 30 masks, count_mis is asked, with as many memo
+    # entries, under every larger cap; a count over that budget keeps
+    # listing.  The answers stay the seed recursion's either way.
+    calls = spy_on_counts(monkeypatch)
+    spider = spider_graph(random.Random(43), 2, 3, 3)
+    graphs = [prism_graph(6), spider, chain_of_triangles(4), cycle_graph(11)]
+    refused = []
+    for probe in (3, 30):
+        monkeypatch.setattr(miscover.graphs, "MIS_COUNT_PROBE", probe)
+        for g in graphs:
+            full = seed_mis_masks(g.adj, g.full_mask, 10**6)
+            for cap in range(len(full) + 2):
+                calls.clear()
+                expected = full if cap >= len(full) else None
+                assert _mis_masks(g.adj, g.full_mask, cap) == expected
+                if probe < cap < len(full):
+                    assert calls == [g.full_mask]
+                    refused.append(miscover.graphs._count_exceeds(g.adj, g.full_mask, cap))
+                else:
+                    assert calls in ([], [g.full_mask]) and (cap > probe or not calls)
+    assert True in refused and False in refused  # counted, and over budget
 
 
 def sparse_connected_graphs() -> list[Graph]:

@@ -36,6 +36,20 @@ def _imported_modules(node):
     return ["." * node.level + (node.module or "")]
 
 
+def test_numpy_is_imported_only_by_the_table_and_oracle_modules():
+    # numpy is about 100 ms of a command's start-up: the graph, cover and
+    # expression commands run without it, at any level of any module
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("complexity.py", "oracles.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(module.split(".")[0] == "numpy" for module in _imported_modules(node))
+    ]
+    assert found == []
+
+
 def test_start_up_imports_stay_lazy():
     # every CLI call pays for what its modules import at import time: numpy
     # loads inside the functions that use it, and the package and the CLI
