@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -270,47 +271,37 @@ def test_validate_cover_and_json_match_seed_code_on_random_covers():
 
 
 @pytest.mark.parametrize(
-    "k, width, span",
+    "k, width, reach, span, dense",
     [
-        (0, 5, 5),  # no rows
-        (5, 300, 300),  # one tile
-        (70_000, 20, 20),  # taller than one block of rows
-        (4000, 12_000, 12_000),  # wider than one tile of columns
-        (40, 2_000_000, 1000),  # sparse rows far out on a wide ground set
+        pytest.param(0, 5, 5, 5, False, id="0-5-5"),  # no rows
+        pytest.param(5, 300, 300, 300, False, id="5-300-300"),  # one tile
+        pytest.param(70_000, 20, 20, 20, False, id="70000-20-20"),  # taller than one tile
+        # wider than one tile of columns
+        pytest.param(4000, 12_000, 12_000, 12_000, False, id="4000-12000-12000"),
+        # sparse rows far out on a wide ground set
+        pytest.param(40, 2_000_000, 2_000_000, 1000, False, id="40-2000000-1000"),
+        pytest.param(64, 200, 200, 200, True, id="64-200-dense"),  # one block of rows
+        pytest.param(65, 200, 200, 200, True, id="65-200-dense"),  # a second block of rows
+        # rows of two words, over two tiles of rows
+        pytest.param(70_000, 128, 128, 8, True, id="70000-128-dense"),
+        # single bits: most word columns are zero
+        pytest.param(300, 50_000, 50_000, 1, True, id="300-50000-dense"),
+        pytest.param(10, 5000, 100, 100, True, id="10-5000-dense"),  # width past the longest row
     ],
 )
-def test_transpose_matches_bitwise_reference(k, width, span):
-    rng = random.Random(k + width)
+def test_transpose_matches_bitwise_reference(k, width, reach, span, dense):
+    # each row lies in a window of span bits below reach: up to six bits of
+    # it or, dense, random bits with a tenth of the rows empty
+    rng = random.Random(k + width + span * dense)
     rows = []
     for _ in range(k):
-        base = rng.randrange(width - span + 1)
-        bits = rng.sample(range(span), rng.randint(0, min(span, 6)))
-        rows.append(seed_mask(base + b for b in bits))
-    expected = [0] * width
-    for i, r in enumerate(rows):
-        for j in _bits_of(r):
-            expected[j] |= 1 << i
-    assert _transpose(rows, width) == expected
-    assert _transpose(expected, k) == rows
-
-
-@pytest.mark.parametrize(
-    "k, width, reach, span",
-    [
-        (64, 200, 200, 200),  # one block of 64 rows, read back by struct
-        (65, 200, 200, 200),  # a second block of rows
-        (70_000, 128, 128, 8),  # rows of two words, over two tiles of rows
-        (300, 50_000, 50_000, 1),  # single bits: most word columns are zero
-        (10, 5000, 100, 100),  # width past the longest row
-    ],
-)
-def test_transpose_matches_bitwise_reference_on_dense_blocks(k, width, reach, span):
-    # rows of random bits in a window of span bits below reach, some empty
-    rng = random.Random(k + width + span)
-    rows = [
-        rng.getrandbits(span) << rng.randrange(reach - span + 1) if rng.random() < 0.9 else 0
-        for _ in range(k)
-    ]
+        if dense:
+            row = rng.getrandbits(span) << rng.randrange(reach - span + 1)
+            rows.append(row if rng.random() < 0.9 else 0)
+        else:
+            base = rng.randrange(reach - span + 1)
+            bits = rng.sample(range(span), rng.randint(0, min(span, 6)))
+            rows.append(seed_mask(base + b for b in bits))
     expected = [0] * width
     for i, r in enumerate(rows):
         for j in _bits_of(r):
@@ -322,8 +313,8 @@ def test_transpose_matches_bitwise_reference_on_dense_blocks(k, width, reach, sp
 def test_member_lists_round_trip_through_masks():
     m = 10**7
     rng = random.Random(5)
-    gaps = [rng.choice((1, 7, 250, 256, 257, 600)) for _ in range(400)]
-    spread = [0, *itertools.accumulate(gaps)]  # zero runs near 32 bytes
+    gaps = [rng.choice((1, 7, 60, 64, 65, 71, 72, 80, 600)) for _ in range(400)]
+    spread = [0, *itertools.accumulate(gaps)]  # zero runs near 8 bytes
     for ground, lists in (
         (40, [[7, 3, 7, 0, 39, 3], [5, 5]]),  # unsorted, duplicated
         (m, [[0, m - 1], [m - 1], [m - 2, 5, m - 2]]),  # far members
@@ -334,6 +325,19 @@ def test_member_lists_round_trip_through_masks():
         assert c.sets == tuple(map(seed_mask, lists))
         members = [c.set_members(i) for i in range(len(lists))]
         assert members == [tuple(sorted(set(s))) for s in lists]
+
+
+def test_member_list_scatter_is_sized_by_bits_not_bytes():
+    # two members 10**8 apart: the scatter buffer holds one bit per element,
+    # about 12.5 MB here, not a byte per element (100 MB)
+    tracemalloc.start()
+    try:
+        c = SeparatingCover(10**8 + 1, [[0, 10**8]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.sets == (1 | 1 << 10**8,)
+    assert peak < 40 * 2**20
 
 
 def test_sparse_cover_on_large_ground_set_matches_seed_code():
