@@ -1,11 +1,17 @@
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from conftest import all_graphs, random_graph_no_isolated
+import miscover
+from conftest import all_graphs, prism_graph, random_graph_no_isolated
 from miscover import (
     CoverReport,
     CoverValidationError,
@@ -124,6 +130,60 @@ def random_cover_lists(rng: random.Random, m: int, k: int) -> list[list[int]]:
         if s and rng.random() < 0.1:
             s.append(s[0])
     return [s for s in sets if s]
+
+
+def plant_twin(cover: SeparatingCover, x: int, y: int) -> SeparatingCover:
+    """y given exactly the sets of x, so (x, y) cannot be separated; sets left empty are dropped."""
+    sets = [s & ~(1 << y) | (s >> x & 1) << y for s in cover.sets]
+    return SeparatingCover(cover.ground_size, [s for s in sets if s])
+
+
+def plant_subset_twin(cover: SeparatingCover, x: int, y: int) -> SeparatingCover:
+    """y given the sets of x but the first: (x, y) cannot be separated, and y is unsaturated."""
+    first = next(i for i, s in enumerate(cover.sets) if s >> x & 1)
+    sets = [s & ~(1 << y) | (s >> x & 1 and i != first) << y for i, s in enumerate(cover.sets)]
+    return SeparatingCover(cover.ground_size, [s for s in sets if s])
+
+
+def permuted(cover: SeparatingCover, rng: random.Random) -> SeparatingCover:
+    """cover with its elements relabeled and its sets shuffled."""
+    perm = rng.sample(range(cover.ground_size), cover.ground_size)
+    sets = [seed_mask(perm[x] for x in _bits_of(s)) for s in cover.sets]
+    rng.shuffle(sets)
+    return SeparatingCover(cover.ground_size, sets)
+
+
+def saturation(cover: SeparatingCover) -> list[bool]:
+    """Per element x: does every set hold x or miss some set that holds x?
+
+    That is, is the signature of x (the sets holding it) a maximal
+    independent set of the disjointness graph.
+    """
+    adj = seed_disjointness(cover.sets)
+    signature = [0] * cover.ground_size
+    for i, s in enumerate(cover.sets):
+        for x in _bits_of(s):
+            signature[x] |= 1 << i
+    flags = []
+    for sig in signature:
+        reach = sig
+        for i in _bits_of(sig):
+            reach |= adj[i]
+        flags.append(sig != 0 and reach == (1 << len(cover.sets)) - 1)
+    return flags
+
+
+def run_cpu_capped(code: str, seconds: int) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that is killed after `seconds` of CPU."""
+
+    def cap_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=20 * seconds, preexec_fn=cap_cpu,
+    )
 
 
 def test_construction_dedups_and_rejects_bad_sets():
@@ -341,8 +401,8 @@ def test_member_list_scatter_is_sized_by_bits_not_bytes():
 
 
 def test_sparse_cover_on_large_ground_set_matches_seed_code():
-    # single-element sets far from 0: signatures, members and masks must
-    # cost the sets' spans, not ground_size per set
+    # single-element sets far from 0: signatures, members, masks and the
+    # disjointness table must cost the sets' spans, not ground_size per set
     m = 10**6
     lists = [[m - 1 - 7 * i] for i in range(60)] + [[5, m - 2, m - 1]]
     c = SeparatingCover(m, lists)
@@ -354,6 +414,97 @@ def test_sparse_cover_on_large_ground_set_matches_seed_code():
     c = SeparatingCover(m, [[0]] + [[m - 1 - 3 * i] for i in range(150)])
     assert _disjointness(c.sets) == seed_disjointness(c.sets)
     assert validate_cover(c) == seed_validate_cover(c)
+    # 300 single-element sets near the end: every pair is disjoint, which the
+    # pairwise ANDs of seed_disjointness take seconds to find here
+    c = SeparatingCover(m, [[m - 1 - 3 * i] for i in range(300)])
+    everyone = (1 << 300) - 1
+    assert _disjointness(c.sets) == [everyone ^ 1 << i for i in range(300)]
+    assert validate_cover(c) == CoverReport(False, False, 0, (0, 1))
+
+
+@pytest.mark.parametrize("m", [2**40, 2**63])
+def test_scan_is_sized_by_the_sets_not_the_ground_set(m):
+    # elements past the last set's reach are uncovered, and the first of
+    # them fails with every lower element; nothing is sized by m
+    c = SeparatingCover(m, [[0], [1]])
+    assert validate_cover(c) == CoverReport(False, False, 2, (0, 2))
+    with pytest.raises(CoverValidationError) as exc:
+        graph_from_cover(c)
+    assert exc.value.report == CoverReport(False, False, 2, (0, 2))
+    # the report is the one of the same sets on two elements past their reach
+    rng = random.Random(m % 1000)
+    for _ in range(200):
+        lists = random_cover_lists(rng, rng.randint(1, 12), rng.randint(1, 10))
+        small = SeparatingCover(max(map(max, lists), default=-1) + 3, lists)
+        assert validate_cover(SeparatingCover(m, lists)) == seed_validate_cover(small)
+
+
+def saturated_covers(rng: random.Random):
+    """Covers whose every signature is a maximal independent set of the disjointness graph.
+
+    Permuted minimal covers, and the MIS covers of cubic, random and
+    clique-heavy graphs, whose signatures vary in size; the last has more
+    than 64 sets.
+    """
+    for m in (2, 7, 40, 150, 300):
+        yield permuted(minimal_cover(m), rng)
+    for k in (4, 5, 7):
+        yield permuted(cover_from_graph(prism_graph(k)), rng)
+    for n in (6, 9, 12):
+        yield cover_from_graph(random_graph_no_isolated(rng, n, 0.3))
+    cliques = disjoint_union(complete_graph(60), complete_graph(5))
+    cross = [(rng.randrange(60), 60 + rng.randrange(5)) for _ in range(4)]
+    yield cover_from_graph(from_edges(65, [*cliques.edges(), *cross]))
+
+
+def test_saturated_covers_and_planted_twins_match_seed_code():
+    # every element saturated: the cover is valid exactly when its
+    # signatures are distinct, and a twin is found without a scan
+    rng = random.Random(20)
+    twins = 0
+    for c in saturated_covers(rng):
+        m = c.ground_size
+        assert all(saturation(c))
+        assert validate_cover(c) == seed_validate_cover(c) == CoverReport(True, True)
+        pairs = {(0, 1), (0, m - 1), (m - 2, m - 1)} | {
+            tuple(sorted(rng.sample(range(m), 2))) for _ in range(12)
+        }
+        for x, y in sorted(pairs):
+            twin = plant_twin(c, x, y)
+            assert all(saturation(twin))
+            report = validate_cover(twin)
+            assert report == seed_validate_cover(twin) == CoverReport(True, False, None, (x, y))
+            twins += 1
+        # two twins: the first failure is the least element of either pair
+        x, y, u, v = sorted(rng.sample(range(m), 4)) if m >= 4 else (0, 1, 0, 1)
+        twin = plant_twin(plant_twin(c, u, v), x, y)
+        assert validate_cover(twin) == seed_validate_cover(twin)
+    assert twins >= 140
+
+
+def test_partly_saturated_covers_match_seed_code():
+    # a set joining two disjoint sets can leave elements of neither
+    # unsaturated, and then the whole cover keeps the per-element scan; so
+    # does a cover where y holds only some of the sets of x
+    rng = random.Random(21)
+    mixed = 0
+    for c in saturated_covers(rng):
+        adj = seed_disjointness(c.sets)
+        pairs = [(i, j) for i in range(len(c.sets)) for j in _bits_of(adj[i]) if i < j]
+        for i, j in rng.sample(pairs, len(pairs)):
+            joined = SeparatingCover(c.ground_size, [*c.sets, c.sets[i] | c.sets[j]])
+            if not all(saturation(joined)):
+                break
+        mixed += not all(saturation(joined))
+        assert validate_cover(joined) == seed_validate_cover(joined)
+        m = c.ground_size
+        # a twin in the joined cover, and y given part of the sets of x: its
+        # signature differs from that of x, yet the pair is not separated
+        for x, y in {tuple(sorted(rng.sample(range(m), 2))) for _ in range(6)}:
+            for twin in (plant_twin(joined, x, y), plant_subset_twin(c, x, y)):
+                assert validate_cover(twin) == seed_validate_cover(twin)
+            assert not all(saturation(twin))
+    assert mixed >= 8
 
 
 @pytest.mark.parametrize("m", [750, 3000, 10_000])
@@ -367,7 +518,7 @@ def test_validate_minimal_cover_and_planted_defects(m):
     u = rng.randrange(m)
     drop = SeparatingCover(m, [s & ~(1 << u) for s in c.sets if s & ~(1 << u)])
     x, y = sorted(rng.sample(range(m), 2))
-    twin = SeparatingCover(m, [s & ~(1 << y) | (s >> x & 1) << y for s in c.sets])
+    twin = plant_twin(c, x, y)
     expected = [
         (c, CoverReport(True, True)),
         (drop, CoverReport(False, False, u, (0, u or 1))),
@@ -379,9 +530,35 @@ def test_validate_minimal_cover_and_planted_defects(m):
             assert seed_validate_cover(cover) == report
 
 
-def test_validate_minimal_cover_at_1e5():
-    # about 1.4 s; the pair-by-pair reference would take minutes here
-    assert validate_cover(minimal_cover(10**5)).valid
+def test_validate_minimal_cover_at_1e6_under_cpu_limit():
+    # about 0.6 s of CPU on a 2-core x86 host; the per-element scan took minutes
+    code = "from miscover import *\nprint(validate_cover(minimal_cover(10**6)))\n"
+    proc = run_cpu_capped(code, 3)
+    assert (proc.returncode, proc.stdout) == (0, f"{CoverReport(True, True)}\n"), proc.stderr
+
+
+def test_validate_dense_cover_of_3e6_elements_under_cpu_limit():
+    # the MIS cover of extremal_graph(41), 3 188 646 elements on 41 sets,
+    # valid and then with one twin planted: built in about 0.8 s and
+    # validated in 1.7 s and 3.8 s of CPU, at 0.55 GiB peak RSS, on a 2-core
+    # x86 host; the per-element scan would take hours
+    x, y = 1_234_567, 3_000_000
+    code = (
+        "from miscover import *\n"
+        "c = cover_from_graph(extremal_graph(41))\n"
+        "m = c.ground_size\n"
+        "print(m, len(c.sets), validate_cover(c))\n"
+        f"x, y = {x}, {y}\n"
+        "sets = [s & ~(1 << y) | (s >> x & 1) << y for s in c.sets]\n"
+        "del c\n"
+        "print(validate_cover(SeparatingCover(m, sets)))\n"
+    )
+    proc = run_cpu_capped(code, 30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"3188646 41 {CoverReport(True, True)}",
+        f"{CoverReport(True, False, None, (x, y))}",
+    ]
 
 
 def test_witnesses_distinct_for_minimal_and_handmade_covers():
