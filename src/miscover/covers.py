@@ -46,12 +46,19 @@ per set holding x replaces a test per pair of elements, but the scan
 stays quadratic, since finding an unseparated pair is an
 orthogonal-vectors search.
 
-``minimal_cover`` needs no enumeration.  The extremal graph is a union of
-vertex-contiguous cliques, and in canonical order its MISes count in mixed
-radix with the first clique as the most significant digit: vertex t of a
-clique of size r lies in MIS x exactly when floor(x / P) mod r == t, with
-P the product of the later clique sizes.  Each set is that periodic
-pattern cut to m bits.
+``cover_from_graph`` and ``minimal_cover`` share one builder, which
+lists no MIS of the whole graph.  ``graphs._mis_factors`` splits the
+MISes into factors F_1..F_r: components lying wholly below the rest, then
+what is left.  In canonical order the MISes count in mixed radix, F_1 the
+most significant digit: MIS x holds MIS number floor(x / P) mod t of a
+factor with t MISes, P being the product of the later factors' sizes.
+So the set of a vertex v of that factor is a run of P ones at j * P for
+each MIS j of the factor that holds v, repeated with period t * P and cut
+to m bits.  Only the factors' own short MIS lists go through
+``_transpose``, which says which of them hold v.  ``cover_from_graph``
+takes all the MISes; ``minimal_cover(m)`` takes the first m of the
+extremal graph on min_separating_sets(m) vertices, a union of cliques,
+whose sets are then single periodic runs.
 
 ``graph_from_cover`` validates once and builds no witness MISes: in a
 valid cover, distinct x and y are split by disjoint sets S containing x
@@ -72,7 +79,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from operator import and_, ne, rshift
+from operator import and_, ne
 from pathlib import Path
 
 from .closedforms import _is_index, min_separating_sets
@@ -80,11 +87,10 @@ from .graphs import (
     DEFAULT_MIS_CAP,
     MAX_VERTICES,
     Graph,
-    MisCapError,
     _bits_of,
     _check_cap,
-    _clique_sizes,
-    _mis_masks,
+    _mis_factors,
+    extremal_graph,
 )
 
 # the byte with bit i set, for i < 8
@@ -136,19 +142,13 @@ def _transpose(rows, width: int) -> list[int]:
     a sparse row on a large ground set costs its own size, not the width,
     in every tile.
 
-    Two shapes take a shortcut, each faster than the general path on the
-    inputs it serves (process time, 2-core x86, Python 3.11).  Rows of up
-    to two words (vertex masks, millions of them for a large graph) are
-    packed by ``struct``, a word column at a time, instead of through
-    bytes: extremal_graph(41)'s 3 188 646 MIS masks took 0.51 s against
-    1.11 s.  A tile of at most 64 rows (a cover's sets) is one block per
-    word column, whose transposed words are its columns, read back by one
+    A tile of at most 64 rows (a cover's sets) is one block per word
+    column, whose transposed words are its columns, read back by one
     ``struct.unpack``: minimal_cover(10**6)'s sets took 0.17 s against
-    0.50 s.
+    0.50 s through strided views (process time, 2-core x86, Python 3.11).
     """
     used = min(width, max(map(int.bit_length, rows), default=0))
     words = (used + 63) // 64
-    narrow = words <= 2
     height = min(1 << 16, -(-len(rows) // 64) * 64 or 64)  # rows per tile
     step = (1 << 18) // height  # words per row in one tile
     blocks = min(words, step) * height // 64
@@ -156,24 +156,16 @@ def _transpose(rows, width: int) -> list[int]:
     zero = bytes(8 * height)
     tiles = []
     for r0 in range(0, len(rows), height):
-        tile = list(rows[r0 : r0 + height])
-        tile += [0] * (height - len(tile))
-        if not narrow:
-            tile = [r.to_bytes(8 * ((r.bit_length() + 63) // 64), "little") for r in tile]
+        tile = rows[r0 : r0 + height]
+        tile = [r.to_bytes(8 * ((r.bit_length() + 63) // 64), "little") for r in tile]
         cols = [0] * (64 * words)
         for a in range(0, words, step):
             nw = min(step, words - a)
-            if narrow:  # one tile of columns
-                low = tile if words == 1 else map(and_, tile, itertools.repeat(_WORD))
-                high = map(rshift, tile, itertools.repeat(64))
-                packed = [struct.pack(f"<{height}Q", *col) for col in (low, high)[:words]]
-            else:
-                joined = b"".join([r[8 * a : 8 * (a + nw)].ljust(8 * nw, b"\0") for r in tile])
-                units = memoryview(joined).cast("Q")
-                packed = [units[c::nw].tobytes() for c in range(nw)]
+            joined = b"".join([r[8 * a : 8 * (a + nw)].ljust(8 * nw, b"\0") for r in tile])
+            joined = joined.ljust(8 * nw * height, b"\0")  # the rows past the last
+            units = memoryview(joined).cast("Q")
+            packed = [units[c::nw].tobytes() for c in range(nw)]
             found = {a + c: p for c, p in enumerate(packed) if p != zero}
-            if not found:
-                continue
             t = _transpose_blocks(b"".join(found.values()), masks)
             if height == 64:  # a word column is one block, whose words are its columns
                 values = struct.unpack(f"<{len(t) // 8}Q", t)
@@ -388,25 +380,24 @@ def _scan(cover: SeparatingCover, adj: list[int]) -> CoverReport:
 def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     """Separating cover whose elements are the MISes of g, one set per vertex.
 
-    Element x is the x-th MIS in canonical order (ascending member lists,
-    generated in that order by ``_mis_masks``, as in ``enumerate_mis``: a
-    product over the lowest component when it lies below the rest, whose
-    MISes then decide the order, else branching on the lowest undecided
-    vertex, include first, with a waiting vertex's one alive neighbor
-    forced into the set); the set for vertex v collects
-    the MISes containing v.  Distinct MISes M, N are separated because
-    some u in M\\N forces a neighbor v in N, and the u- and v-sets are
-    disjoint.  Duplicated vertex sets are merged, so the result has at
-    most g.n sets.  ``_mis_masks`` returns all masks or None, so a graph
-    over the cap is refused without building a partial list; a union is
-    refused once its first factors show that the rest, capped at ``cap``
-    divided by their product, cannot fit, and a connected graph once
-    count_mis, asked after MIS_COUNT_PROBE sets, finds it over the cap.
+    Element x is the x-th MIS in canonical order, as in ``enumerate_mis``;
+    the set for vertex v collects the MISes containing v.  Distinct MISes
+    M, N are separated because some u in M\\N has a neighbor v in N, and
+    the u- and v-sets are disjoint.  Duplicated vertex sets are merged, so
+    the result has at most g.n sets.  The sets are laid out from the
+    factors of g in mixed radix (see the module docstring), so a union
+    lists only its factors' own MISes: extremal_graph(44), whose 9 565 938
+    MISes took about 4 s of CPU and 518 MiB peak RSS to list and
+    transpose, takes about 0.2 s and 73 MiB (2-core x86, Python 3.11).  A
+    union is refused once its first factors show that the rest, capped at
+    ``cap`` divided by their product, cannot fit, and a connected factor
+    once count_mis, asked after MIS_COUNT_PROBE sets, finds it over its
+    cap.
 
-    Isolated vertices (for g.n >= 2) are rejected: such a vertex lies in
-    every MIS, so no pair of MISes could ever be separated.  Raises
-    MisCapError if g has more than ``cap`` MISes, and ValueError if cap is
-    not an int >= 0.
+    An isolated vertex lies in every MIS, so its set is the whole ground
+    set; separation never needs it.  Raises MisCapError if g has more than
+    ``cap`` MISes, and ValueError if g has no vertex or cap is not an int
+    >= 0.
     """
     _check_cap(cap)
     if g.n == 0:
@@ -414,16 +405,62 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
             "graph must have at least one vertex: the empty graph's sole "
             "MIS would leave a one-element ground set with no sets at all"
         )
-    isolated = [v for v in range(g.n) if not g.adj[v]] if g.n >= 2 else []
-    if isolated:
-        raise ValueError(
-            f"vertex {isolated[0]} is isolated; its MIS-membership set would "
-            f"intersect every other and the cover could not separate"
-        )
-    mis = _mis_masks(g.adj, g.full_mask, cap)
-    if mis is None:
-        raise MisCapError(cap, cap)
-    return SeparatingCover(len(mis), _transpose(mis, g.n))
+    return _mis_cover(g, cap)
+
+
+def _mis_cover(g: Graph, cap: int, m: int | None = None) -> SeparatingCover:
+    """The MIS cover of g cut to its first m MISes (all of them by default).
+
+    The factors' MIS lists go through one ``_transpose``, end to end, so
+    that for a vertex v, bit j of its column past the offset of v's factor
+    says whether MIS j of that factor holds v.  With t the size of v's
+    factor and P the product of the later factors' sizes, v gets a run of
+    P ones at j * P for each such j (``_spread``), repeated with period
+    t * P and cut to m bits.  Vertex sets left empty by the cut are
+    dropped.  Raises MisCapError if g has more than cap MISes.
+    """
+    factors = _mis_factors(g.adj, g.full_mask, cap)
+    rows = factors[0][1] if len(factors) == 1 else [x for _, masks in factors for x in masks]
+    signature = _transpose(rows, g.n)
+    later = math.prod(len(masks) for _, masks in factors)
+    m = later if m is None else m
+    keep = (1 << m) - 1
+    sets, offset = [], 0
+    for vertices, masks in factors:
+        t = len(masks)
+        later //= t
+        for v in _bits_of(vertices):
+            s = signature[v] >> offset
+            if later > 1:
+                s = _spread(s, later)
+            period = t * later
+            while period < m:
+                s |= s << period
+                period *= 2
+            s &= keep
+            if s:
+                sets.append(s)
+        offset += t
+    return SeparatingCover(m, sets)
+
+
+def _spread(s: int, p: int) -> int:
+    """A run of p ones at j * p for each bit j of s.
+
+    Past one byte, s goes a byte at a time: the runs of eight bits fill p
+    whole bytes, built once for each byte value that occurs and joined, so
+    a mask of many bits costs its output's size, not a shift per bit.
+    """
+    if s >> 8:
+        raw = s.to_bytes((s.bit_length() + 7) // 8, "little")
+        chunks = {b: _spread(b, p).to_bytes(p, "little") for b in set(raw)}
+        return int.from_bytes(b"".join(map(chunks.__getitem__, raw)), "little")
+    out, run = 0, (1 << p) - 1
+    while s:
+        j = s.bit_length() - 1
+        out |= run << j * p
+        s ^= 1 << j
+    return out
 
 
 def graph_from_cover(cover: SeparatingCover, check: bool = True) -> Graph:
@@ -458,9 +495,10 @@ def minimal_cover(m: int) -> SeparatingCover:
     vertices, which has at least m MISes, restricted to its first m MISes
     in canonical order; the restriction keeps both properties (surviving
     elements keep a containing set, surviving pairs keep their disjoint
-    witnesses).  Each vertex set is built in closed form as a periodic bit
-    pattern (see the module docstring), in O(m) bit operations, with no
-    enumeration.  Vertex sets left empty are dropped.
+    witnesses).  The graph is a union of cliques, each its own factor, so
+    every set is a periodic run pattern laid out by the builder of
+    ``cover_from_graph``, in O(m) bit operations, with no enumeration.
+    Vertex sets left empty are dropped.
 
     m is bounded by 10**6.  At that bound this call took about 15 ms of
     CPU, and ``miscover minimal-cover 1000000 --out F`` about 5 s of wall
@@ -471,19 +509,7 @@ def minimal_cover(m: int) -> SeparatingCover:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > 10**6:
         raise ValueError(f"m must be <= 10**6, got {m}")
-    sizes = _clique_sizes(min_separating_sets(m))
-    keep = (1 << m) - 1
-    run = math.prod(sizes)
-    sets = []
-    for r in sizes:
-        run //= r  # product of the later clique sizes
-        for t in range(min(r, -(-m // run))):  # vertex sets left empty are dropped
-            s, period = ((1 << run) - 1) << (t * run), r * run
-            while period < m:
-                s |= s << period
-                period *= 2
-            sets.append(s & keep)
-    return SeparatingCover(m, sets)
+    return _mis_cover(extremal_graph(min_separating_sets(m)), DEFAULT_MIS_CAP, m)
 
 
 # ---------------------------------------------------------------------------

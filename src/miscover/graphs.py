@@ -22,26 +22,29 @@ recursion branches, and makes no further attempt.  So narrow graphs
 count in milliseconds (a 128-vertex cycle in 2-5 ms), and a fixed memo
 budget makes every hard graph fail fast with CountBudgetError instead of
 running on.
-enumerate_mis splits off the component C of the lowest vertex when C
-lies wholly below the rest R, and lists every union of an MIS of C with
-an MIS of R, C-major.  That order is canonical: a sorted member tuple is
-its C-part followed by its R-part, and no MIS of C is a prefix of
-another (that would be containment), so the C-part decides.  Each factor
-splits again, so a union of cliques (the extremal graphs) never
-branches.  It returns all masks or None, never a prefix: C is listed
-first, and R under the cap divided by C's count, which is exact because
-every graph has an MIS.  So a union over the cap is refused after
-listing a few small factors, not after cap + 1 sets.  Otherwise it runs
-a lowest-vertex recursion, whose include-first order yields the
-canonical MIS order without sorting.  Once it has listed more than
-MIS_COUNT_PROBE sets under a larger cap, it asks count_mis whether they
-all fit, so a connected graph over the cap is refused after about 0.1 s,
-not after cap + 1 sets; a graph too hard to count goes on listing.  Like
-count_mis, it forces the one alive neighbor of a waiting vertex into the
-set without branching.  The order holds even when a forced vertex lies
-above the lowest undecided vertex v: all sets under a node agree below
-v, the include branch continues with v, and an exclude-branch set must
-continue above v, or it would lie inside an include-branch set.
+enumerate_mis lists the MISes as a product of factors, found by
+_mis_factors.  While the component C of the lowest remaining vertex lies
+wholly below the rest R, C is a factor and R is split again; what is left,
+connected or with components whose labels interleave, is the last factor.
+The canonical list is the C-major product of the factors' lists: a sorted
+member tuple is its C-part followed by its R-part, and no MIS of C is a
+prefix of another (that would be containment), so the C-part decides.  So
+a union of vertex-contiguous cliques (the extremal graphs) never branches,
+and covers.py lays the same factors out in mixed radix without listing the
+product.  Factors are listed in order, each under the cap divided by the
+product of the sizes before it, which is exact because every graph has an
+MIS, so a union over the cap is refused after listing a few small factors,
+not after cap + 1 sets.  Each factor is listed by a lowest-vertex
+recursion, whose include-first order yields the canonical MIS order
+without sorting.  Once it has listed more than MIS_COUNT_PROBE sets under
+a larger cap, it asks count_mis whether they all fit, so a connected graph
+over the cap is refused after about 0.1 s, not after cap + 1 sets; a graph
+too hard to count goes on listing.  Like count_mis, it forces the one
+alive neighbor of a waiting vertex into the set without branching.  The
+order holds even when a forced vertex lies above the lowest undecided
+vertex v: all sets under a node agree below v, the include branch
+continues with v, and an exclude-branch set must continue above v, or it
+would lie inside an include-branch set.
 """
 
 from __future__ import annotations
@@ -293,34 +296,50 @@ def is_maximal_independent(g: Graph, s) -> bool:
     return True
 
 
-def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
-    """Every MIS bitmask of the subgraph induced by ``alive``, in canonical
+def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, list[int]]]:
+    """The factors of the MISes of the subgraph induced by ``alive``, as
+    (vertex mask, MIS masks in canonical order) pairs.  Raises MisCapError
+    once their product exceeds ``cap``.
+
+    While the component C of the lowest alive vertex lies wholly below the
+    rest R (nonempty), C is a factor and R is split again; what is left
+    then, connected or with components whose labels interleave, is the
+    last factor.  So the factors hold consecutive vertices, in order, and
+    every MIS is the union of one MIS of each factor.  Each factor is listed by
+    ``_mis_masks`` under the cap divided by the product of the sizes
+    before it: every graph has an MIS, so the product fits the cap exactly
+    when each factor fits its share.  A union over the cap is thus refused
+    after listing a few small factors.
+    """
+    factors, share = [], cap
+    while alive or not factors:
+        comp = _flood(adj, alive, 0)
+        rest = alive & ~comp
+        comp = comp if rest and comp < rest & -rest else alive
+        masks = _mis_masks(adj, comp, share)
+        if masks is None:
+            raise MisCapError(cap, cap)
+        factors.append((comp, masks))
+        share //= len(masks)
+        alive &= ~comp
+    return factors
+
+
+def _mis_masks(adj: tuple[int, ...], whole: int, cap: int) -> list[int] | None:
+    """Every MIS bitmask of the subgraph induced by ``whole``, in canonical
     order, or None once more than ``cap`` exist.
 
-    First the product split: if the component C of the lowest alive
-    vertex lies wholly below the rest R (nonempty), the MISes are the
-    unions a | b of an MIS a of C and an MIS b of R, listed C-major.  That
-    order is canonical because a sorted member tuple is its C-part
-    followed by its R-part, and no MIS of C is a prefix of another (that
-    would be containment), so the C-part decides.  C is listed first (its
-    masks are ``left``), and R under the cap ``cap // len(left)``: every
-    graph has an MIS, so the product fits the cap exactly when R has at
-    most that many.  A union
-    over the cap is thus refused after listing a few small factors.  Each
-    factor splits again at its own root, so a union of cliques never
-    branches.  The split is tried only at such roots, not at every branch
-    node, so a connected graph pays one flood for it.
-
-    Otherwise it branches on the lowest alive vertex v, include branch
-    first, and stops after cap + 1 masks, or after MIS_COUNT_PROBE + 1
-    when the cap is larger and count_mis, asked then with a memo budget of
-    MIS_COUNT_PROBE entries, finds more than cap MISes: either v enters
-    the set (N[v] leaves play), or v is excluded and recorded as still
-    needing a neighbor in the set.  Each node first scans its pending
-    vertices, as count_mis does: one with no alive neighbor prunes the
-    node, and one with a single alive neighbor w forces w into the set
-    (N[w] leaves play, N(w) leaves the pending set) and restarts the scan.
-    So each emitted mask is maximal.
+    ``_mis_factors`` calls it once per factor, so it makes no product
+    split of its own: it branches on the lowest alive vertex v, include branch first, and
+    stops after cap + 1 masks, or after MIS_COUNT_PROBE + 1 when the cap is
+    larger and count_mis, asked then with a memo budget of MIS_COUNT_PROBE
+    entries, finds more than cap MISes: either v enters the set (N[v]
+    leaves play), or v is excluded and recorded as still needing a
+    neighbor in the set.  Each node first scans its pending vertices, as
+    count_mis does: one with no alive neighbor prunes the node, and one
+    with a single alive neighbor w forces w into the set (N[w] leaves
+    play, N(w) leaves the pending set) and restarts the scan.  So each
+    emitted mask is maximal.
 
     The masks come in canonical order without sorting.  Every vertex
     below v is decided, so all sets under a node agree below v.  The
@@ -329,20 +348,8 @@ def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
     include-branch set, since no neighbor of the alive v is in it.  Forced
     vertices above v do not change this.
     """
-    comp = _flood(adj, alive, 0)
-    rest = alive & ~comp
-    if rest and comp < rest & -rest:
-        left = _mis_masks(adj, comp, cap)
-        if left is None:
-            return None
-        right = _mis_masks(adj, rest, cap // len(left))
-        if right is None:
-            return None
-        return [a | b for a in left for b in right]
-
     out: list[int] = []
     limit = min(cap, MIS_COUNT_PROBE)  # then cap, once count_mis allows it
-    whole = alive
 
     def rec(alive: int, partial: int, need: int) -> None:
         nonlocal limit
@@ -375,7 +382,7 @@ def _mis_masks(adj: tuple[int, ...], alive: int, cap: int) -> list[int] | None:
         rec(alive & ~bit, partial, need | bit)
 
     try:
-        rec(alive, 0, 0)
+        rec(whole, 0, 0)
     except _OverCap:
         return None
     return out if len(out) <= cap else None
@@ -421,23 +428,23 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
 
     The order is canonical: compare the sorted vertex tuples
     lexicographically, e.g. {0,2} before {1}.  It is produced directly,
-    with no sort, by ``_mis_masks``: a product over the lowest component
-    when that component lies below the rest (the C-part of a member tuple
-    decides its order), else branching on the lowest undecided vertex,
-    include first, with a waiting vertex's one alive neighbor forced into
-    the set.  ``_mis_masks`` returns all masks or None, so no partial list
-    is built for a graph over the cap: a union of parts is refused once
-    its first factors show that the rest cannot fit, each later factor
-    capped at ``cap`` divided by the product of those before it; a
-    connected graph stops after MIS_COUNT_PROBE + 1 sets if count_mis
-    finds it over the cap, else after cap + 1 sets.  Raises MisCapError
-    if more than ``cap`` sets exist, and ValueError if cap is not an int
-    >= 0.
+    with no sort, as the C-major product of the factors of
+    ``_mis_factors`` (the components that lie below the rest, then what is
+    left), each listed by ``_mis_masks``, which branches on its lowest
+    undecided vertex, include first, with a waiting vertex's one alive
+    neighbor forced into the set.  No partial list is built for a graph over the cap: a union
+    is refused once its first factors show that the rest cannot fit, each
+    later factor capped at ``cap`` divided by the product of those before
+    it; a connected factor stops after MIS_COUNT_PROBE + 1 sets if
+    count_mis finds it over its cap, else after cap + 1 sets.  Raises
+    MisCapError if more than ``cap`` sets exist, and ValueError if cap is
+    not an int >= 0.
     """
     _check_cap(cap)
-    masks = _mis_masks(g.adj, g.full_mask, cap)
-    if masks is None:
-        raise MisCapError(cap, cap)
+    factors = _mis_factors(g.adj, g.full_mask, cap)
+    masks = factors[-1][1]  # a single factor's list is not copied
+    for _, left in reversed(factors[:-1]):
+        masks = [a | b for a in left for b in masks]
     return _trusted_sets(masks, g.n)
 
 
@@ -784,28 +791,18 @@ def extremal_graph(n: int, variant: Variant = Variant.DEFAULT) -> Graph:
         raise ValueError(
             f"variant {variant.value!r} only applies when n = 3i+1 >= 4, got n={n}"
         )
+    i, r = divmod(n, 3)
+    # for n = 3i+1 the last triangle and the extra vertex make two edges or a K_4
+    last = {0: [], 1: [4] if variant == Variant.K4 else [2, 2], 2: [2]}[r]
+    sizes = [1] if n == 1 else [3] * (i - (r == 1)) + last
     adj = [0] * n
     off = 0
-    for k in _clique_sizes(n, variant):
+    for k in sizes:
         block = ((1 << k) - 1) << off
         for v in range(off, off + k):
             adj[v] = block ^ (1 << v)
         off += k
     return Graph(n, tuple(adj))
-
-
-def _clique_sizes(n: int, variant: Variant = Variant.DEFAULT) -> list[int]:
-    """Clique sizes of extremal_graph(n, variant), first clique first."""
-    i, r = divmod(n, 3)
-    if n == 1:
-        return [1]
-    if r == 0:
-        return [3] * i
-    if r == 2:
-        return [3] * i + [2]
-    if variant == Variant.K4:
-        return [3] * (i - 1) + [4]
-    return [3] * (i - 1) + [2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,7 @@ from functools import lru_cache
 
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
-from .covers import (
-    SeparatingCover,
-    _transpose,
-    graph_from_cover,
-    minimal_cover,
-    validate_cover,
-)
+from .covers import SeparatingCover, graph_from_cover, minimal_cover, validate_cover
 from .graphs import Graph, Variant, VertexSet, count_mis, extremal_graph, from_edges
 
 MAX_SCAN_VERTICES = 7  # 2**21 graphs; n = 8 would be 2**28, minutes of CPU
@@ -119,12 +113,18 @@ def greedy_mis_witnesses(cover: SeparatingCover) -> list[VertexSet]:
     Element x starts from the independent set {sets containing x} and is
     extended greedily by ascending vertex index.  Distinctness is what
     makes the constructed graph have at least ground_size MISes.  The
-    graph's adjacency (sets adjacent exactly when disjoint) is built here
-    pair by pair, apart from the library's.
+    graph's adjacency (sets adjacent exactly when disjoint) and each
+    element's signature (the sets containing it) are built here set by
+    set, apart from the library's.
     """
     adj = [sum(1 << j for j, t in enumerate(cover.sets) if not s & t) for s in cover.sets]
+    signature = [0] * cover.ground_size
+    for i, s in enumerate(cover.sets):
+        for x in range(cover.ground_size):
+            if s >> x & 1:
+                signature[x] |= 1 << i
     witnesses = []
-    for current in _transpose(cover.sets, cover.ground_size):
+    for current in signature:
         for v, row in enumerate(adj):
             if not row & current:  # no neighbor of v in current; a no-op if v is in it
                 current |= 1 << v

@@ -11,17 +11,28 @@ from pathlib import Path
 import pytest
 
 import miscover
-from conftest import all_graphs, prism_graph, random_graph_no_isolated
+from conftest import (
+    all_graphs,
+    chain_of_triangles,
+    prism_graph,
+    random_graph,
+    random_graph_no_isolated,
+)
 from miscover import (
+    DEFAULT_MIS_CAP,
     CoverReport,
     CoverValidationError,
+    MisCapError,
     SeparatingCover,
+    Variant,
     complete_graph,
     count_mis,
     cover_from_graph,
     cover_from_json,
     cover_to_json,
+    cycle_graph,
     disjoint_union,
+    enumerate_mis,
     extremal_graph,
     from_edges,
     graph_from_cover,
@@ -79,6 +90,14 @@ def seed_validate_cover(cover: SeparatingCover):
         uncovered=uncovered,
         unseparated=unseparated,
     )
+
+
+def seed_cover_from_graph(g, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
+    """The MIS cover by listing every MIS, as the seed code built it: the
+    enumerated masks through _transpose, which
+    test_transpose_matches_bitwise_reference checks bit by bit."""
+    masks = [s.bits for s in enumerate_mis(g, cap)]
+    return SeparatingCover(len(masks), _transpose(masks, g.n))
 
 
 def seed_disjointness(sets) -> list[int]:
@@ -255,14 +274,104 @@ def test_cover_from_extremal_5():
     assert validate_cover(c).valid
 
 
-def test_cover_rejects_isolated_vertex():
-    with pytest.raises(ValueError, match="vertex 2 is isolated"):
-        cover_from_graph(from_edges(3, [(0, 1)]))
+def test_cover_of_graph_with_isolated_vertex():
+    # an isolated vertex lies in every MIS, so its set is the whole ground
+    # set; separation never needs it.  K2 + K1: sets {0}, {1} and {0, 1}
+    c = cover_from_graph(from_edges(3, [(0, 1)]))
+    assert c == seed_cover_from_graph(from_edges(3, [(0, 1)]))
+    assert c == SeparatingCover(2, [{0}, {1}, {0, 1}])
+    assert validate_cover(c).valid
     with pytest.raises(ValueError, match="at least one vertex"):
         cover_from_graph(from_edges(0, []))
-    # a lone vertex is fine: one MIS, one singleton set
+    # a lone vertex: one MIS, one singleton set
     c = cover_from_graph(complete_graph(1))
     assert c.ground_size == 1 and c.sets == (1,)
+
+
+def relabeled(g, order: list[int]):
+    """g with vertex order[i] renamed i."""
+    pos = {v: i for i, v in enumerate(order)}
+    return from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def union_of(*parts):
+    g = parts[0]
+    for h in parts[1:]:
+        g = disjoint_union(g, h)
+    return g
+
+
+def factored_graphs(rng: random.Random):
+    """Graphs whose MISes split into factors of every kind: cliques, and
+    connected factors with many MISes ahead of later ones, so that a vertex
+    of an early factor holds runs of P > 1 elements for several MISes,
+    over one byte of them and over many; components that are isolated
+    vertices, or that interleave their labels and so stay one factor; and
+    connected cubic graphs and chains of triangles, each one factor."""
+    for n in range(1, 25):
+        for variant in Variant:
+            if variant == Variant.DEFAULT or (n % 3 == 1 and n >= 4):
+                yield extremal_graph(n, variant)
+    yield union_of(prism_graph(4), complete_graph(3), cycle_graph(5))
+    yield union_of(cycle_graph(12), complete_graph(2), complete_graph(3))
+    yield union_of(chain_of_triangles(4), prism_graph(3), extremal_graph(5))
+    yield union_of(cycle_graph(5), complete_graph(1), cycle_graph(7), complete_graph(1))
+    for _ in range(60):
+        sizes = [rng.randint(1, 6) for _ in range(3)]
+        yield union_of(*(random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))) for n in sizes))
+    # cycles of 7 and 5 and a triangle, their vertices dealt out round-robin
+    g = union_of(cycle_graph(7), cycle_graph(5), complete_graph(3))
+    comps = [range(0, 7), range(7, 12), range(12, 15)]
+    yield relabeled(g, [c[i] for i in range(7) for c in comps if i < len(c)])
+    for k in (3, 5, 8):
+        yield prism_graph(k)
+    for n in (8, 12, 16):
+        while True:
+            points = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(points)
+            edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+            if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+                yield from_edges(n, edges)  # a random cubic graph
+                break
+    yield chain_of_triangles(6)
+
+
+def test_cover_from_graph_matches_seed_code():
+    # the mixed-radix layout of the factors gives the cover of the listed
+    # MISes exactly, and refuses a graph under the cap exactly when
+    # enumerate_mis does
+    rng = random.Random(23)
+    for g in factored_graphs(rng):
+        expected = seed_cover_from_graph(g)
+        assert cover_from_graph(g) == expected
+        count = expected.ground_size
+        for cap in {0, count // 2, count - 1, count, count + 1}:
+            try:
+                enumerate_mis(g, cap)
+            except MisCapError:
+                with pytest.raises(MisCapError):
+                    cover_from_graph(g, cap)
+            else:
+                assert cover_from_graph(g, cap) == expected
+
+
+def test_cover_of_extremal_44_under_cpu_and_memory_limits():
+    # 9 565 938 MISes, under the 10**7 cap: built from 15 clique factors in
+    # about 0.2 s of CPU and 73 MiB peak RSS; listing and transposing them
+    # took about 4 s and 518 MiB (2-core x86 host)
+    code = (
+        "import resource\n"
+        "from miscover import *\n"
+        "c = cover_from_graph(extremal_graph(44))\n"
+        "m = c.ground_size\n"
+        "first, last = c.sets[0] == (1 << m // 3) - 1, c.sets[-1] == ((1 << m) - 1) // 3 << 1\n"
+        "print(m, len(c.sets), first, last, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = run_cpu_capped(code, 2)
+    assert proc.returncode == 0, proc.stderr
+    m, k, first, last, rss_kib = proc.stdout.split()
+    assert (int(m), int(k), first, last) == (9_565_938, 44, "True", "True")
+    assert int(rss_kib) < 200 * 1024
 
 
 def test_graph_from_singleton_cover():
@@ -539,7 +648,7 @@ def test_validate_minimal_cover_at_1e6_under_cpu_limit():
 
 def test_validate_dense_cover_of_3e6_elements_under_cpu_limit():
     # the MIS cover of extremal_graph(41), 3 188 646 elements on 41 sets,
-    # valid and then with one twin planted: built in about 0.8 s and
+    # valid and then with one twin planted: built in about 0.06 s and
     # validated in 1.7 s and 3.8 s of CPU, at 0.55 GiB peak RSS, on a 2-core
     # x86 host; the per-element scan would take hours
     x, y = 1_234_567, 3_000_000
@@ -587,9 +696,9 @@ def test_minimal_cover_sizes_and_validity():
 
 
 def test_minimal_cover_is_truncated_full_cover():
-    # the reference builds the whole MIS cover of the extremal graph and
-    # restricts it to the first m elements; the closed form changes shape
-    # where the extremal graph does, at 3^i, 4*3^(i-1) and 2*3^i
+    # the reference lists every MIS of the extremal graph (once per vertex
+    # count) and restricts the cover to the first m elements; the layout
+    # changes shape where the extremal graph does, at 3^i, 4*3^(i-1), 2*3^i
     boundaries = {
         b + d
         for i in range(1, 11)
@@ -597,8 +706,12 @@ def test_minimal_cover_is_truncated_full_cover():
         for d in (-1, 0, 1)
     }
     sizes = set(range(1, 301)) | {1000, 10_000} | {m for m in boundaries if m <= 10**5}
+    covers = {}
     for m in sorted(sizes):
-        full = cover_from_graph(extremal_graph(min_separating_sets(m)))
+        n = min_separating_sets(m)
+        if n not in covers:
+            covers[n] = seed_cover_from_graph(extremal_graph(n))
+        full = covers[n]
         keep = (1 << m) - 1
         expected = SeparatingCover(m, [s & keep for s in full.sets if s & keep])
         got = minimal_cover(m)

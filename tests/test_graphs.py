@@ -305,16 +305,17 @@ def test_cap_must_be_a_nonnegative_int(fn, cap):
 
 
 def test_mis_masks_match_seed_recursion_on_unions():
-    # the product split must give the seed recursion's list exactly, and
-    # interleaved components must reach that recursion unsplit
+    # the branch recursion alone and the product of the factors must both
+    # give the seed recursion's list exactly, and interleaved components
+    # must reach that recursion unsplit
     rng = random.Random(29)
     for _ in range(300):
         g = random_union(rng, rng.choice([1, 2, 2, 3]))
         h, mixed = interleaved(g)
         for x in (g, h):
-            assert _mis_masks(x.adj, x.full_mask, 10**6) == seed_mis_masks(
-                x.adj, x.full_mask, 10**6
-            )
+            expected = seed_mis_masks(x.adj, x.full_mask, 10**6)
+            assert _mis_masks(x.adj, x.full_mask, 10**6) == expected
+            assert [s.bits for s in enumerate_mis(x)] == expected
         if mixed:
             comp = seed_flood(h.adj, h.full_mask, complement=False)
             rest = h.full_mask & ~comp
@@ -329,6 +330,7 @@ def test_mis_masks_match_seed_recursion_on_extremal_graphs():
             g = extremal_graph(n, variant)
             masks = _mis_masks(g.adj, g.full_mask, 10**6)
             assert masks == seed_mis_masks(g.adj, g.full_mask, 10**6)
+            assert [s.bits for s in enumerate_mis(g)] == masks
             assert len(masks) == max_partition_product(n)
 
 
