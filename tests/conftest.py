@@ -35,6 +35,17 @@ def chain_of_triangles(k: int):
     return from_edges(3 * k, [*g.edges(), *((3 * i + 2, 3 * i + 3) for i in range(k - 1))])
 
 
+def random_cubic_graph(rng: random.Random, n: int):
+    """Uniform random cubic graph on n (even) vertices: the pairing model,
+    redrawn until the matching of 3n points has no loop or double edge."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return from_edges(n, edges)
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices, in edge-mask order."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

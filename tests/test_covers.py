@@ -15,6 +15,7 @@ from conftest import (
     all_graphs,
     chain_of_triangles,
     prism_graph,
+    random_cubic_graph,
     random_graph,
     random_graph_no_isolated,
 )
@@ -326,13 +327,7 @@ def factored_graphs(rng: random.Random):
     for k in (3, 5, 8):
         yield prism_graph(k)
     for n in (8, 12, 16):
-        while True:
-            points = [v for v in range(n) for _ in range(3)]
-            rng.shuffle(points)
-            edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
-            if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-                yield from_edges(n, edges)  # a random cubic graph
-                break
+        yield random_cubic_graph(rng, n)
     yield chain_of_triangles(6)
 
 

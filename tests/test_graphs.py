@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 import miscover.graphs
-from conftest import all_graphs, chain_of_triangles, prism_graph, random_graph
+from conftest import all_graphs, chain_of_triangles, prism_graph, random_cubic_graph, random_graph
 from miscover import (
     CountBudgetError,
     Graph,
@@ -189,17 +189,6 @@ def interleaved(g: Graph) -> tuple[Graph, bool]:
     pos = {v: i for i, v in enumerate(order)}
     h = from_edges(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
     return h, len(comps) >= 2 and len(comps[0]) >= 2
-
-
-def random_cubic_graph(rng: random.Random, n: int) -> Graph:
-    """Uniform random cubic graph on n (even) vertices: the pairing model,
-    redrawn until the matching of 3n points has no loop or double edge."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
-        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return from_edges(n, edges)
 
 
 def spider_graph(rng: random.Random, hubs: int, legs: int, length: int) -> Graph:
