@@ -12,6 +12,7 @@ commands (``complexity``, ``expr``) and ``verify`` load numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -121,27 +122,35 @@ def _cmd_expr_graph(args) -> int:
 
 
 def _cmd_mis(args) -> int:
-    from .graphs import count_mis, enumerate_mis, read_graph_text
+    from .graphs import DEFAULT_MIS_CAP, _mis_factors, count_mis, read_graph_text
 
     g = read_graph_text(args.graph)
     if args.count:
         print(count_mis(g))
     else:
-        # one line per set, members ascending: byte k of a mask indexes the
-        # 256 strings of the vertices 8k..8k+7 it may hold
+        # one line per set, members ascending, in enumerate_mis's order, but
+        # no set is built: the factors hold consecutive vertices in order,
+        # so a line is its factors' member strings joined by spaces, and the
+        # C-major product is itertools.product.  Each factor MIS is
+        # formatted once: byte k of its mask indexes the 256 strings of the
+        # vertices 8k..8k+7 it may hold.  The empty graph's one factor is
+        # [""], which prints one empty line.
         width = (g.n + 7) // 8
         tables = [
             [" ".join(str(8 * k + i) for i in range(8) if b >> i & 1) for b in range(256)]
             for k in range(width)
         ]
-        sets = enumerate_mis(g)
-        for start in range(0, len(sets), 4096):  # write in bounded blocks
-            lines = []
-            for s in sets[start : start + 4096]:
-                chunks = map(list.__getitem__, tables, s.bits.to_bytes(width, "little"))
-                lines.append(" ".join(filter(None, chunks)))
-            lines.append("")
-            sys.stdout.write("\n".join(lines))
+        texts = [
+            [
+                " ".join(filter(None, map(list.__getitem__, tables, m.to_bytes(width, "little"))))
+                for m in masks
+            ]
+            for _, masks in _mis_factors(g.adj, g.full_mask, DEFAULT_MIS_CAP)
+        ]
+        lines = map(" ".join, itertools.product(*texts))
+        while block := list(itertools.islice(lines, 4096)):  # bounded blocks
+            block.append("")
+            sys.stdout.write("\n".join(block))
     return 0
 
 

@@ -30,16 +30,19 @@ The canonical list is the C-major product of the factors' lists: a sorted
 member tuple is its C-part followed by its R-part, and no MIS of C is a
 prefix of another (that would be containment), so the C-part decides.  So
 a union of vertex-contiguous cliques (the extremal graphs) never branches,
-and covers.py lays the same factors out in mixed radix without listing the
-product.  Factors are listed in order, each under the cap divided by the
-product of the sizes before it, which is exact because every graph has an
-MIS, so a union over the cap is refused after listing a few small factors,
-not after cap + 1 sets.  Each factor is listed by a lowest-vertex
-recursion, whose include-first order yields the canonical MIS order
-without sorting.  Once it has listed more than MIS_COUNT_PROBE sets under
-a larger cap, it asks count_mis whether they all fit, so a connected graph
-over the cap is refused after about 0.1 s, not after cap + 1 sets; a graph
-too hard to count goes on listing.  Like count_mis, it forces the one
+covers.py lays the same factors out in mixed radix without listing the
+product, and ``miscover mis --list`` prints the product of the factors'
+member strings without building a set.  The product itself is one
+slotted VertexSet per MIS, about 100 B with its mask.  Factors are listed
+in order, each under the cap divided by the product of the sizes before
+it, which is exact because every graph has an MIS, so a union over the
+cap is refused after listing a few small factors, not after cap + 1 sets.
+Each factor is listed by a lowest-vertex recursion, whose include-first
+order yields the canonical MIS order without sorting.  Once it has listed
+more than MIS_COUNT_PROBE sets under a larger cap, it asks count_mis
+whether they all fit, so a connected graph over the cap is refused after
+about 0.1 s, not after cap + 1 sets; a graph too hard to count goes on
+listing.  Like count_mis, it forces the one
 alive neighbor of a waiting vertex into the set without branching.  The
 order holds even when a forced vertex lies above the lowest undecided
 vertex v: all sets under a node agree below v, the include branch
@@ -99,9 +102,14 @@ class CountBudgetError(ValueError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
-    """Subset of the vertices 0..n-1 of some graph, stored as a bitmask."""
+    """Subset of the vertices 0..n-1 of some graph, stored as a bitmask.
+
+    Slotted, with no instance dict: enumeration makes one per MIS, up to
+    DEFAULT_MIS_CAP of them, and a slotted instance is about half the size
+    of a dict-backed one.
+    """
 
     bits: int
     n: int
@@ -167,15 +175,20 @@ class Graph:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row < 0 or row & ~full:
                 raise ValueError(f"adjacency row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"vertex {v} is its own neighbor")
-            for u in _bits_of(row):
-                if not self.adj[u] >> v & 1:
+            m = row
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"edge {v}-{u} is not symmetric")
+                m ^= low
 
     @property
     def full_mask(self) -> int:
@@ -408,17 +421,18 @@ def _count_exceeds(adj: tuple[int, ...], alive: int, cap: int) -> bool:
 def _trusted_sets(masks: list[int], n: int) -> list[VertexSet]:
     """VertexSets for masks already known to lie in 0..n-1.
 
-    Writes the two fields straight into each instance dict, skipping the
-    frozen dataclass's __init__ and the range check of __post_init__;
-    equality, hashing and repr see the same fields as for VertexSet(m, n).
+    Fills the two slots through their descriptors, skipping the frozen
+    dataclass's __init__ and the range check of __post_init__; equality,
+    hashing and repr see the same fields as for VertexSet(m, n).
     """
     new = object.__new__
+    set_bits = VertexSet.bits.__set__
+    set_n = VertexSet.n.__set__
     out = []
     for m in masks:
         s = new(VertexSet)
-        d = s.__dict__
-        d["bits"] = m
-        d["n"] = n
+        set_bits(s, m)
+        set_n(s, n)
         out.append(s)
     return out
 
@@ -439,6 +453,9 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     count_mis finds it over its cap, else after cap + 1 sets.  Raises
     MisCapError if more than ``cap`` sets exist, and ValueError if cap is
     not an int >= 0.
+
+    The masks become VertexSets by ``_trusted_sets``, which skips the
+    range check they cannot fail.
     """
     _check_cap(cap)
     factors = _mis_factors(g.adj, g.full_mask, cap)

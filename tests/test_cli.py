@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,12 +16,15 @@ import miscover
 import miscover.graphs
 from conftest import chain_of_triangles, prism_graph
 from miscover import (
+    Variant,
     complete_graph,
     count_mis,
     cover_from_graph,
     cycle_graph,
+    disjoint_union,
     enumerate_mis,
     extremal_graph,
+    from_edges,
     graph_from_text,
     minimal_cover,
     perrin,
@@ -317,14 +321,37 @@ def test_mis_count_and_list(tmp_path, capsys):
     assert lines == sorted(lines)
 
 
+# extremal_graph(12) with vertex v renamed v % 3 * 4 + v // 3, so that its
+# triangles {0, 4, 8}, {1, 5, 9}, ... interleave and stay one factor
+DEALT_OUT = from_edges(
+    12, [(u % 3 * 4 + u // 3, v % 3 * 4 + v // 3) for u, v in extremal_graph(12).edges()]
+)
+
+
 @pytest.mark.parametrize(
     "g",
-    [prism_graph(12), extremal_graph(24), complete_graph(128), complete_graph(0)],
-    ids=["cubic-24", "extremal-24", "K128", "empty"],
+    [
+        prism_graph(12),
+        extremal_graph(24),
+        complete_graph(128),
+        complete_graph(0),
+        extremal_graph(10, Variant.K4),
+        extremal_graph(10, Variant.TWO_EDGES),
+        disjoint_union(disjoint_union(complete_graph(1), extremal_graph(5)), from_edges(2, [])),
+        disjoint_union(disjoint_union(cycle_graph(5), complete_graph(2)), extremal_graph(7)),
+        disjoint_union(extremal_graph(4), DEALT_OUT),
+        disjoint_union(cycle_graph(5), extremal_graph(21)),
+    ],
+    ids=[
+        "cubic-24", "extremal-24", "K128", "empty", "extremal-10-k4", "extremal-10-two-edges",
+        "isolated-vertices", "C5+K2+extremal-7", "interleaved", "C5+extremal-21",
+    ],
 )
 def test_mis_list_prints_what_print_would(tmp_path, capsys, g):
-    # lines are formatted from the masks by table lookup and written in
-    # blocks; the bytes must be those of one print per set
+    # lines are the product of the factors' member strings, written in
+    # blocks of 4 096 (C5+extremal-21 has 10 935); the bytes must be those
+    # of one print per set.  They are compared as lists of lines: pytest's
+    # line diff of two unequal strings this long runs for minutes
     path = tmp_path / "g.txt"
     write_graph_text(g, path)
     expected = io.StringIO()
@@ -332,9 +359,47 @@ def test_mis_list_prints_what_print_would(tmp_path, capsys, g):
         for s in enumerate_mis(g):
             print(" ".join(map(str, s.members())))
     assert run(["mis", "--list", "--graph", str(path)]) == 0
-    assert out_of(capsys) == expected.getvalue()
+    lines = out_of(capsys).splitlines(keepends=True)
+    assert lines == expected.getvalue().splitlines(keepends=True)
     if g.n == 0:
         assert expected.getvalue() == "\n"
+
+
+LIST_AND_REPORT_RSS = """
+import resource, sys
+from miscover.cli import run
+code = run(["mis", "--list", "--graph", sys.argv[1]])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_mis_list_of_extremal_41_streams_under_cpu_and_memory_limits(tmp_path):
+    # 3 188 646 lines, written from 14 clique factors in about 0.9 s of CPU
+    # and 17 MiB peak RSS; one VertexSet per line took 9 s and 663 MiB
+    # (2-core x86 host, Python 3.11)
+    graph, listing = tmp_path / "g.txt", tmp_path / "out.txt"
+    write_graph_text(extremal_graph(41), graph)
+
+    def cap_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    with open(listing, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", LIST_AND_REPORT_RSS, str(graph)],
+            env=env, stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+            preexec_fn=cap_cpu,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 64 * 1024  # KiB
+    md5, lines = hashlib.md5(), 0
+    with open(listing, "rb") as f:
+        while chunk := f.read(1 << 20):
+            md5.update(chunk)
+            lines += chunk.count(b"\n")
+    assert (lines, md5.hexdigest()) == (3_188_646, "0d5147fbcc9a7dcadecc7dd11e0aeeb1")
 
 
 def test_extremal_variants(tmp_path, capsys):

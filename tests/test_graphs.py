@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import tracemalloc
 
@@ -227,10 +229,14 @@ def test_cycle_graph_counts():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (2, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (1,))  # self-loop
+    with pytest.raises(ValueError, match="^edge 0-1 is not symmetric$"):
+        Graph(2, (2, 0))
+    with pytest.raises(ValueError, match="^edge 0-2 is not symmetric$"):
+        Graph(3, (0b110, 0b001, 0))  # the first missing reverse edge
+    with pytest.raises(ValueError, match="^vertex 0 is its own neighbor$"):
+        Graph(1, (1,))
+    with pytest.raises(ValueError, match=r"^adjacency row 0 has bits outside 0\.\.1$"):
+        Graph(2, (4, 0))
     with pytest.raises(ValueError):
         from_edges(2, [(0, 2)])
     # checked before the adjacency list of n rows is allocated
@@ -372,6 +378,20 @@ def test_union_over_the_cap_is_refused_before_listing(fn):
     assert peak < 2**20
 
 
+def test_enumeration_allocates_one_small_object_per_set():
+    # 59 049 MISes: a slotted VertexSet, its mask and its list slot come to
+    # about 97 B per set; one with an instance dict took about 201 B
+    g = extremal_graph(30)
+    tracemalloc.start()
+    try:
+        sets = enumerate_mis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == 3**10
+    assert peak <= 120 * len(sets)
+
+
 def spy_on_counts(monkeypatch) -> list[int]:
     """The alive mask of each count that enumeration asks for, as it asks."""
     calls = []
@@ -487,7 +507,14 @@ def test_enumerated_sets_are_plain_vertex_sets():
     assert [hash(s) for s in sets] == [hash(s) for s in public]
     assert [repr(s) for s in sets] == [repr(s) for s in public]
     assert all(type(s) is VertexSet for s in sets)
-    assert all(vars(s) == {"bits": s.bits, "n": g.n} for s in sets)
+    assert VertexSet.__slots__ == ("bits", "n")
+    assert not any(hasattr(s, "__dict__") for s in sets)
+    # the slots hold what one unsplit listing of the whole graph gives
+    whole = _mis_masks(g.adj, g.full_mask, len(sets))
+    assert [(s.bits, s.n) for s in sets] == [(bits, g.n) for bits in whole]
+    for copied in (pickle.loads(pickle.dumps(sets)), copy.deepcopy(sets)):
+        assert copied == public
+        assert [hash(s) for s in copied] == [hash(s) for s in public]
     with pytest.raises(dataclasses.FrozenInstanceError):
         sets[0].bits = 0
     # the public constructor still checks the range
