@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
 
     reports = run_verification(args.level)
     for r in reports:
-        print(r.tsv_line(include_elapsed=False))
+        print(r.tsv_line())
     failures = sum(not r.agree for r in reports)
     total_time = sum(r.elapsed for r in reports)
     print(

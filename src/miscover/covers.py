@@ -88,7 +88,6 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _bits_of,
-    _check_cap,
     _mis_factors,
     extremal_graph,
 )
@@ -388,18 +387,15 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     factors of g in mixed radix (see the module docstring), so a union
     lists only its factors' own MISes: extremal_graph(44), whose 9 565 938
     MISes took about 4 s of CPU and 518 MiB peak RSS to list and
-    transpose, takes about 0.2 s and 73 MiB (2-core x86, Python 3.11).  A
-    union is refused once its first factors show that the rest, capped at
-    ``cap`` divided by their product, cannot fit, and a connected factor
-    once count_mis, asked after MIS_COUNT_PROBE sets, finds it over its
-    cap.
+    transpose, takes about 0.2 s and 73 MiB (2-core x86, Python 3.11).
+    A graph over the cap is refused by the policy in
+    ``graphs._mis_factors``.
 
     An isolated vertex lies in every MIS, so its set is the whole ground
     set; separation never needs it.  Raises MisCapError if g has more than
     ``cap`` MISes, and ValueError if g has no vertex or cap is not an int
     >= 0.
     """
-    _check_cap(cap)
     if g.n == 0:
         raise ValueError(
             "graph must have at least one vertex: the empty graph's sole "
@@ -417,7 +413,8 @@ def _mis_cover(g: Graph, cap: int, m: int | None = None) -> SeparatingCover:
     factor and P the product of the later factors' sizes, v gets a run of
     P ones at j * P for each such j (``_spread``), repeated with period
     t * P and cut to m bits.  Vertex sets left empty by the cut are
-    dropped.  Raises MisCapError if g has more than cap MISes.
+    dropped.  Raises MisCapError if g has more than cap MISes, by the
+    policy of ``graphs._mis_factors``.
     """
     factors = _mis_factors(g.adj, g.full_mask, cap)
     rows = factors[0][1] if len(factors) == 1 else [x for _, masks in factors for x in masks]

@@ -33,27 +33,19 @@ a union of vertex-contiguous cliques (the extremal graphs) never branches,
 covers.py lays the same factors out in mixed radix without listing the
 product, and ``miscover mis --list`` prints the product of the factors'
 member strings without building a set.  The product itself is one
-slotted VertexSet per MIS, about 100 B with its mask.  Factors are listed
-in order, each under the cap divided by the product of the sizes before
-it, which is exact because every graph has an MIS, so a union over the
-cap is refused after listing a few small factors, not after cap + 1 sets.
-Each factor is listed by a lowest-vertex recursion, whose include-first
-order yields the canonical MIS order without sorting.  Once it has listed
-more than MIS_COUNT_PROBE sets under a larger cap, it asks count_mis
-whether they all fit, so a connected graph over the cap is refused after
-about 0.1 s, not after cap + 1 sets; a graph too hard to count goes on
-listing.  Like count_mis, it forces the one
-alive neighbor of a waiting vertex into the set without branching.  The
-order holds even when a forced vertex lies above the lowest undecided
-vertex v: all sets under a node agree below v, the include branch
-continues with v, and an exclude-branch set must continue above v, or it
-would lie inside an include-branch set.
+slotted VertexSet per MIS, about 100 B with its mask.  Each factor is
+listed lazily by _mis_masks, a lowest-vertex branching whose include-first
+order is the canonical MIS order, with no sort; like count_mis, it forces
+the one alive neighbor of a waiting vertex into the set without
+branching.  _mis_factors alone applies the enumeration cap; its docstring
+gives the policy.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -69,12 +61,13 @@ DEFAULT_MIS_CAP = 10_000_000
 # to 12 s (128 vertices, p = 0.03), at a peak RSS of 210-215 MiB, about
 # 180 MiB above an idle interpreter.
 COUNT_MEMO_BUDGET = 1_000_000
-# masks a connected graph lists before its enumeration asks count_mis
-# whether the cap can hold them all (about 0.1 s of listing, and ten times
-# the benchmark's largest enumeration, 6 561 sets), and the memo entries
-# that count may keep: on G(128, 0.03), which it cannot count, the probe
-# took 1.0 s of CPU, against 12.5 s for the full budget and 160 s for
-# listing cap + 1 = 10**7 + 1 masks (2-core x86 host, Python 3.11)
+# the masks a factor lists before _mis_factors asks count_mis whether it
+# fits its share of the cap, and that count's memo budget (the policy is in
+# _mis_factors' docstring).  65 536 masks are about 0.1 s of listing and ten
+# times the benchmark's largest enumeration, 6 561 sets; on G(128, 0.03),
+# which it cannot count, the probe took 1.0 s of CPU, against 12.5 s for
+# the full budget and 160 s for listing cap + 1 = 10**7 + 1 masks (2-core
+# x86 host, Python 3.11)
 MIS_COUNT_PROBE = 65_536
 
 
@@ -139,12 +132,6 @@ def _bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _check_cap(cap) -> None:
-    """The cap check enumerate_mis and cover_from_graph share."""
-    if not _is_index(cap):
-        raise ValueError(f"cap must be an int >= 0, got {cap!r}")
 
 
 def _mask_of(s) -> int:
@@ -312,25 +299,52 @@ def is_maximal_independent(g: Graph, s) -> bool:
 def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, list[int]]]:
     """The factors of the MISes of the subgraph induced by ``alive``, as
     (vertex mask, MIS masks in canonical order) pairs.  Raises MisCapError
-    once their product exceeds ``cap``.
+    once their product exceeds ``cap``, and ValueError if cap is not an
+    int >= 0.
 
     While the component C of the lowest alive vertex lies wholly below the
     rest R (nonempty), C is a factor and R is split again; what is left
     then, connected or with components whose labels interleave, is the
     last factor.  So the factors hold consecutive vertices, in order, and
-    every MIS is the union of one MIS of each factor.  Each factor is listed by
-    ``_mis_masks`` under the cap divided by the product of the sizes
-    before it: every graph has an MIS, so the product fits the cap exactly
-    when each factor fits its share.  A union over the cap is thus refused
-    after listing a few small factors.
+    every MIS is the union of one MIS of each factor.
+
+    This is the one place that applies the enumeration cap, and it builds
+    no list near the cap's size for a graph over it:
+
+    - each factor gets a share, ``cap`` divided by the product of the
+      sizes before it.  Every graph has an MIS, so the product fits the
+      cap exactly when each factor fits its share, and a union over the
+      cap is refused after listing a few small factors;
+    - a factor's listing is read up to MIS_COUNT_PROBE + 1 masks.  If that
+      many come and the share is larger, count_mis, with a memo budget of
+      MIS_COUNT_PROBE entries, is asked for the factor's size: a count
+      over the share refuses it, so a connected graph over the cap is
+      refused after about 0.1 s, not after cap + 1 sets.  A count that
+      fits, or one that needs more memo entries, lets the listing go on;
+    - past share + 1 masks the factor is refused.
+
+    The count comes after the probe's masks, not before them: on
+    G(128, 0.5), listing all 45-51 thousand sets took 0.4-0.6 s of CPU,
+    and the count gave up only after 0.7-0.9 s (seeds 1-3 of the tests'
+    random_graph, 2-core x86, Python 3.11).
     """
+    if not _is_index(cap):
+        raise ValueError(f"cap must be an int >= 0, got {cap!r}")
     factors, share = [], cap
     while alive or not factors:
         comp = _flood(adj, alive, 0)
         rest = alive & ~comp
         comp = comp if rest and comp < rest & -rest else alive
-        masks = _mis_masks(adj, comp, share)
-        if masks is None:
+        listing = _mis_masks(adj, comp)
+        masks = list(islice(listing, min(share, MIS_COUNT_PROBE) + 1))
+        if share > MIS_COUNT_PROBE < len(masks):
+            try:
+                if _count_alive(adj, comp, MIS_COUNT_PROBE) > share:
+                    raise MisCapError(cap, cap)
+            except CountBudgetError:
+                pass  # too hard to count within the probe: list on
+            masks += islice(listing, share - MIS_COUNT_PROBE)
+        if len(masks) > share:
             raise MisCapError(cap, cap)
         factors.append((comp, masks))
         share //= len(masks)
@@ -338,21 +352,20 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
     return factors
 
 
-def _mis_masks(adj: tuple[int, ...], whole: int, cap: int) -> list[int] | None:
-    """Every MIS bitmask of the subgraph induced by ``whole``, in canonical
-    order, or None once more than ``cap`` exist.
+def _mis_masks(adj: tuple[int, ...], whole: int) -> Iterator[int]:
+    """Every MIS bitmask of the subgraph induced by ``whole``, lazily, in
+    canonical order.
 
     ``_mis_factors`` calls it once per factor, so it makes no product
-    split of its own: it branches on the lowest alive vertex v, include branch first, and
-    stops after cap + 1 masks, or after MIS_COUNT_PROBE + 1 when the cap is
-    larger and count_mis, asked then with a memo budget of MIS_COUNT_PROBE
-    entries, finds more than cap MISes: either v enters the set (N[v]
-    leaves play), or v is excluded and recorded as still needing a
-    neighbor in the set.  Each node first scans its pending vertices, as
-    count_mis does: one with no alive neighbor prunes the node, and one
-    with a single alive neighbor w forces w into the set (N[w] leaves
-    play, N(w) leaves the pending set) and restarts the scan.  So each
-    emitted mask is maximal.
+    split of its own: it branches on the lowest alive vertex v.  Either v
+    enters the set (N[v] leaves play), or v is excluded and recorded as
+    still needing a neighbor in the set.  The include branch is followed
+    at once and the exclude branch pushed on an explicit stack, so a
+    node's include branch is listed before its exclude branch.  Each node
+    first scans its pending vertices, as count_mis does: one with no
+    alive neighbor prunes the node, and one with a single alive neighbor
+    w forces w into the set (N[w] leaves play, N(w) leaves the pending
+    set) and restarts the scan.  So each emitted mask is maximal.
 
     The masks come in canonical order without sorting.  Every vertex
     below v is decided, so all sets under a node agree below v.  The
@@ -361,61 +374,35 @@ def _mis_masks(adj: tuple[int, ...], whole: int, cap: int) -> list[int] | None:
     include-branch set, since no neighbor of the alive v is in it.  Forced
     vertices above v do not change this.
     """
-    out: list[int] = []
-    limit = min(cap, MIS_COUNT_PROBE)  # then cap, once count_mis allows it
-
-    def rec(alive: int, partial: int, need: int) -> None:
-        nonlocal limit
-        if len(out) > limit:
-            if limit == cap:
-                return
-            if _count_exceeds(adj, whole, cap):
-                raise _OverCap
-            limit = cap
-        nd = need
-        while nd:
-            low = nd & -nd
-            reach = adj[low.bit_length() - 1] & alive
-            if not reach:
-                return  # an excluded vertex can never be dominated
-            if reach & (reach - 1):
-                nd ^= low
-            else:  # forced: the one alive neighbor w enters the set
-                w_adj = adj[reach.bit_length() - 1]
-                alive &= ~(w_adj | reach)
-                partial |= reach
-                need &= ~w_adj
-                nd = need
-        if not alive:
-            out.append(partial)
-            return
-        bit = alive & -alive
-        nbrs = adj[bit.bit_length() - 1]
-        rec(alive & ~(nbrs | bit), partial | bit, need & ~nbrs)
-        rec(alive & ~bit, partial, need | bit)
-
-    try:
-        rec(whole, 0, 0)
-    except _OverCap:
-        return None
-    return out if len(out) <= cap else None
-
-
-class _OverCap(Exception):
-    """Ends an enumeration that its MIS count has shown to be over the cap."""
-
-
-def _count_exceeds(adj: tuple[int, ...], alive: int, cap: int) -> bool:
-    """Whether the subgraph induced by alive has more than cap MISes.
-
-    The count keeps at most MIS_COUNT_PROBE memo entries, about the work
-    of the listing so far; a graph too hard to count within them answers
-    False, so its enumeration goes on listing.
-    """
-    try:
-        return _count_alive(adj, alive, MIS_COUNT_PROBE) > cap
-    except CountBudgetError:
-        return False
+    stack = [(whole, 0, 0)]
+    while stack:
+        alive, partial, need = stack.pop()
+        while True:
+            nd = need
+            while nd:
+                low = nd & -nd
+                reach = adj[low.bit_length() - 1] & alive
+                if not reach:
+                    break
+                if reach & (reach - 1):
+                    nd ^= low
+                else:  # forced: the one alive neighbor w enters the set
+                    w_adj = adj[reach.bit_length() - 1]
+                    alive &= ~(w_adj | reach)
+                    partial |= reach
+                    need &= ~w_adj
+                    nd = need
+            if nd:
+                break  # an excluded vertex can never be dominated
+            if not alive:
+                yield partial
+                break
+            bit = alive & -alive
+            nbrs = adj[bit.bit_length() - 1]
+            stack.append((alive & ~bit, partial, need | bit))
+            alive &= ~(nbrs | bit)
+            partial |= bit
+            need &= ~nbrs
 
 
 def _trusted_sets(masks: list[int], n: int) -> list[VertexSet]:
@@ -443,21 +430,14 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[VertexSet]:
     The order is canonical: compare the sorted vertex tuples
     lexicographically, e.g. {0,2} before {1}.  It is produced directly,
     with no sort, as the C-major product of the factors of
-    ``_mis_factors`` (the components that lie below the rest, then what is
-    left), each listed by ``_mis_masks``, which branches on its lowest
-    undecided vertex, include first, with a waiting vertex's one alive
-    neighbor forced into the set.  No partial list is built for a graph over the cap: a union
-    is refused once its first factors show that the rest cannot fit, each
-    later factor capped at ``cap`` divided by the product of those before
-    it; a connected factor stops after MIS_COUNT_PROBE + 1 sets if
-    count_mis finds it over its cap, else after cap + 1 sets.  Raises
-    MisCapError if more than ``cap`` sets exist, and ValueError if cap is
-    not an int >= 0.
+    ``_mis_factors``, each listed by ``_mis_masks``.  Raises MisCapError
+    if more than ``cap`` sets exist, without building a partial list (the
+    cap policy is in ``_mis_factors``), and ValueError if cap is not an
+    int >= 0.
 
     The masks become VertexSets by ``_trusted_sets``, which skips the
     range check they cannot fail.
     """
-    _check_cap(cap)
     factors = _mis_factors(g.adj, g.full_mask, cap)
     masks = factors[-1][1]  # a single factor's list is not copied
     for _, left in reversed(factors[:-1]):

@@ -274,7 +274,7 @@ class OracleReport:
     agree: bool
     elapsed: float
 
-    def tsv_line(self, include_elapsed: bool = True) -> str:
+    def tsv_line(self) -> str:
         cols = [
             self.quantity,
             self.input,
@@ -282,8 +282,6 @@ class OracleReport:
             self.expected_value,
             "OK" if self.agree else "FAIL",
         ]
-        if include_elapsed:
-            cols.append(f"{self.elapsed:.3f}s")
         return "\t".join(cols)
 
 

@@ -2,7 +2,9 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -36,7 +38,14 @@ from miscover import (
     minimal_expression,
     perrin,
 )
-from miscover.graphs import COUNT_MEMO_BUDGET, _bits_of, _flood, _mis_masks, _narrow_count
+from miscover.graphs import (
+    COUNT_MEMO_BUDGET,
+    _bits_of,
+    _flood,
+    _mis_factors,
+    _mis_masks,
+    _narrow_count,
+)
 from miscover.oracles import brute_mis_masks
 
 
@@ -309,7 +318,7 @@ def test_mis_masks_match_seed_recursion_on_unions():
         h, mixed = interleaved(g)
         for x in (g, h):
             expected = seed_mis_masks(x.adj, x.full_mask, 10**6)
-            assert _mis_masks(x.adj, x.full_mask, 10**6) == expected
+            assert list(_mis_masks(x.adj, x.full_mask)) == expected
             assert [s.bits for s in enumerate_mis(x)] == expected
         if mixed:
             comp = seed_flood(h.adj, h.full_mask, complement=False)
@@ -323,7 +332,7 @@ def test_mis_masks_match_seed_recursion_on_extremal_graphs():
             if variant != Variant.DEFAULT and not (n % 3 == 1 and n >= 4):
                 continue
             g = extremal_graph(n, variant)
-            masks = _mis_masks(g.adj, g.full_mask, 10**6)
+            masks = list(_mis_masks(g.adj, g.full_mask))
             assert masks == seed_mis_masks(g.adj, g.full_mask, 10**6)
             assert [s.bits for s in enumerate_mis(g)] == masks
             assert len(masks) == max_partition_product(n)
@@ -343,7 +352,30 @@ def test_union_enumeration_order_is_canonical_by_brute_force():
         assert [s.bits for s in enumerate_mis(h)] == canonical_masks(h)
 
 
-def test_mis_masks_stop_at_every_cap():
+def factor_product(factors: list[tuple[int, list[int]]]) -> list[int]:
+    """The C-major product of _mis_factors' lists: every MIS mask in order."""
+    masks = [0]
+    for _, listed in factors:
+        masks = [a | b for a in masks for b in listed]
+    return masks
+
+
+def spy_on_listings(monkeypatch) -> list[int]:
+    """How many masks _mis_factors draws from each factor's listing."""
+    drawn = []
+    lister = miscover.graphs._mis_masks
+
+    def spy(adj, whole):
+        drawn.append(0)
+        for mask in lister(adj, whole):
+            drawn[-1] += 1
+            yield mask
+
+    monkeypatch.setattr(miscover.graphs, "_mis_masks", spy)
+    return drawn
+
+
+def test_mis_masks_stop_at_every_cap(monkeypatch):
     path4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     uneven = disjoint_union(
         disjoint_union(cycle_graph(5), complete_graph(1)),
@@ -351,15 +383,20 @@ def test_mis_masks_stop_at_every_cap():
     )  # 5 * 1 * 3 * 4 = 60 MISes
     # a prism and a spider branch, and their pending vertices force often
     spider = spider_graph(random.Random(43), 2, 3, 3)
+    drawn = spy_on_listings(monkeypatch)
     for g in (extremal_graph(9), uneven, prism_graph(6), spider):
         full = seed_mis_masks(g.adj, g.full_mask, 10**6)
         for cap in range(len(full)):
-            assert _mis_masks(g.adj, g.full_mask, cap) is None
+            drawn.clear()
+            with pytest.raises(MisCapError) as exc:
+                _mis_factors(g.adj, g.full_mask, cap)
+            assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
+            assert max(drawn) <= cap + 1  # no listing runs past its share
             with pytest.raises(MisCapError) as exc:
                 enumerate_mis(g, cap=cap)
             assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
         for cap in (len(full), len(full) + 1):
-            assert _mis_masks(g.adj, g.full_mask, cap) == full
+            assert factor_product(_mis_factors(g.adj, g.full_mask, cap)) == full
         assert [s.bits for s in enumerate_mis(g, cap=len(full))] == full
 
 
@@ -420,9 +457,11 @@ def test_connected_graph_over_the_cap_is_refused_at_the_probe(fn, monkeypatch):
 
 def test_mis_masks_probe_keeps_every_list_and_refusal(monkeypatch):
     # past a probe of 3 or 30 masks, count_mis is asked, with as many memo
-    # entries, under every larger cap; a count over that budget keeps
-    # listing.  The answers stay the seed recursion's either way.
+    # entries, under every larger cap; a count over the cap refuses at once,
+    # and a count over that budget keeps listing.  The answers stay the seed
+    # recursion's either way.
     calls = spy_on_counts(monkeypatch)
+    drawn = spy_on_listings(monkeypatch)
     spider = spider_graph(random.Random(43), 2, 3, 3)
     graphs = [prism_graph(6), spider, chain_of_triangles(4), cycle_graph(11)]
     refused = []
@@ -432,11 +471,20 @@ def test_mis_masks_probe_keeps_every_list_and_refusal(monkeypatch):
             full = seed_mis_masks(g.adj, g.full_mask, 10**6)
             for cap in range(len(full) + 2):
                 calls.clear()
-                expected = full if cap >= len(full) else None
-                assert _mis_masks(g.adj, g.full_mask, cap) == expected
+                drawn.clear()
+                if cap >= len(full):
+                    assert _mis_factors(g.adj, g.full_mask, cap) == [(g.full_mask, full)]
+                else:
+                    with pytest.raises(MisCapError):
+                        _mis_factors(g.adj, g.full_mask, cap)
                 if probe < cap < len(full):
                     assert calls == [g.full_mask]
-                    refused.append(miscover.graphs._count_exceeds(g.adj, g.full_mask, cap))
+                    try:
+                        counted = miscover.graphs._count_alive(g.adj, g.full_mask, probe)
+                    except CountBudgetError:
+                        counted = None
+                    refused.append(counted is not None)
+                    assert drawn == [probe + 1 if counted else cap + 1]
                 else:
                     assert calls in ([], [g.full_mask]) and (cap > probe or not calls)
     assert True in refused and False in refused  # counted, and over budget
@@ -466,9 +514,17 @@ def test_mis_masks_match_seed_recursion_on_sparse_graphs():
     ]
     graphs += [interleaved(extremal_graph(n))[0] for n in range(2, 22)]
     for g in graphs:
-        assert _mis_masks(g.adj, g.full_mask, 10**6) == seed_mis_masks(
-            g.adj, g.full_mask, 10**6
-        )
+        assert list(_mis_masks(g.adj, g.full_mask)) == seed_mis_masks(g.adj, g.full_mask, 10**6)
+
+
+def test_mis_masks_are_listed_lazily():
+    # the first masks of a graph with about 4 * 10**17 MISes come at once:
+    # the cap policy of _mis_factors reads only as many as it needs
+    g = chain_of_triangles(42)
+    start = time.perf_counter()
+    first = list(islice(_mis_masks(g.adj, g.full_mask), 5))
+    assert time.perf_counter() - start < 0.1
+    assert first == seed_mis_masks(g.adj, g.full_mask, 5)
 
 
 def test_sparse_enumeration_order_is_canonical_by_brute_force():
@@ -491,9 +547,13 @@ def test_forced_steps_read_fewer_rows():
     # the forced step changes speed only, so count the adjacency rows read
     g = prism_graph(10)
     reads = []
-    for enumerate_masks in (_mis_masks, seed_mis_masks):
+    listers = (
+        lambda rows: list(_mis_masks(rows, g.full_mask)),
+        lambda rows: seed_mis_masks(rows, g.full_mask, 10**6),
+    )
+    for lister in listers:
         rows = CountingRows(g.adj)
-        masks = enumerate_masks(rows, g.full_mask, 10**6)
+        masks = lister(rows)
         reads.append(rows.reads)
         assert len(masks) == count_mis(g)
     assert 2 * reads[0] <= reads[1]
@@ -510,7 +570,7 @@ def test_enumerated_sets_are_plain_vertex_sets():
     assert VertexSet.__slots__ == ("bits", "n")
     assert not any(hasattr(s, "__dict__") for s in sets)
     # the slots hold what one unsplit listing of the whole graph gives
-    whole = _mis_masks(g.adj, g.full_mask, len(sets))
+    whole = list(_mis_masks(g.adj, g.full_mask))
     assert [(s.bits, s.n) for s in sets] == [(bits, g.n) for bits in whole]
     for copied in (pickle.loads(pickle.dumps(sets)), copy.deepcopy(sets)):
         assert copied == public

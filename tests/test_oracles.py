@@ -158,7 +158,7 @@ def test_run_verification_quick_is_clean():
         "extremal-canonical",
         "extremal-class-count",
     }
-    line = reports[0].tsv_line(include_elapsed=False)
+    line = reports[0].tsv_line()
     assert line.count("\t") == 4
     with pytest.raises(ValueError):
         run_verification("medium")
