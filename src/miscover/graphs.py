@@ -61,13 +61,13 @@ DEFAULT_MIS_CAP = 10_000_000
 # to 12 s (128 vertices, p = 0.03), at a peak RSS of 210-215 MiB, about
 # 180 MiB above an idle interpreter.
 COUNT_MEMO_BUDGET = 1_000_000
-# the masks a factor lists before _mis_factors asks count_mis whether it
-# fits its share of the cap, and that count's memo budget (the policy is in
-# _mis_factors' docstring).  65 536 masks are about 0.1 s of listing and ten
-# times the benchmark's largest enumeration, 6 561 sets; on G(128, 0.03),
-# which it cannot count, the probe took 1.0 s of CPU, against 12.5 s for
-# the full budget and 160 s for listing cap + 1 = 10**7 + 1 masks (2-core
-# x86 host, Python 3.11)
+# the masks a factor lists before _mis_factors asks _mis_lower_bound
+# whether it exceeds its share of the cap (the policy is in _mis_factors'
+# docstring).  65 536 masks are about 0.1 s of listing and ten times the
+# benchmark's largest enumeration, 6 561 sets, so a factor with fewer sets
+# never pays for the bound: on random 28-vertex cubic graphs it took
+# 0.9-2.7 ms, 30-70 % of their 2.8-5.5 ms listing (2-core x86 host,
+# Python 3.11)
 MIS_COUNT_PROBE = 65_536
 
 
@@ -316,17 +316,22 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
       cap exactly when each factor fits its share, and a union over the
       cap is refused after listing a few small factors;
     - a factor's listing is read up to MIS_COUNT_PROBE + 1 masks.  If that
-      many come and the share is larger, count_mis, with a memo budget of
-      MIS_COUNT_PROBE entries, is asked for the factor's size: a count
-      over the share refuses it, so a connected graph over the cap is
-      refused after about 0.1 s, not after cap + 1 sets.  A count that
-      fits, or one that needs more memo entries, lets the listing go on;
+      many come and the share is larger, _mis_lower_bound, with a DP
+      budget of the share (at most DEFAULT_MIS_CAP entries), bounds the
+      factor's size from below: a bound over the share refuses it, so a
+      connected graph over the cap is refused after MIS_COUNT_PROBE + 1
+      sets, not after share + 1.  Otherwise the listing goes on, to its
+      end or to share + 1 masks;
     - past share + 1 masks the factor is refused.
 
-    The count comes after the probe's masks, not before them: on
-    G(128, 0.5), listing all 45-51 thousand sets took 0.4-0.6 s of CPU,
-    and the count gave up only after 0.7-0.9 s (seeds 1-3 of the tests'
-    random_graph, 2-core x86, Python 3.11).
+    The bound comes after the probe's masks, not before them: it costs a
+    third to two thirds of a small factor's listing (see MIS_COUNT_PROBE),
+    and 0.05-0.8 s of CPU on G(128, p) for p = 0.02 to 0.5 (seeds 1-3 of
+    the tests' random_graph, 2-core x86, Python 3.11).
+    The budget is the share because the DP's tables are then no larger
+    than the listing they can save, and a smaller one bounds too low: at
+    10**6 entries a G(76, 0.05) with 12 087 195 MISes was bounded at
+    9 287 582, at 10**7 exactly.
     """
     if not _is_index(cap):
         raise ValueError(f"cap must be an int >= 0, got {cap!r}")
@@ -338,11 +343,8 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
         listing = _mis_masks(adj, comp)
         masks = list(islice(listing, min(share, MIS_COUNT_PROBE) + 1))
         if share > MIS_COUNT_PROBE < len(masks):
-            try:
-                if _count_alive(adj, comp, MIS_COUNT_PROBE) > share:
-                    raise MisCapError(cap, cap)
-            except CountBudgetError:
-                pass  # too hard to count within the probe: list on
+            if _mis_lower_bound(adj, comp, min(share, DEFAULT_MIS_CAP)) > share:
+                raise MisCapError(cap, cap)
             masks += islice(listing, share - MIS_COUNT_PROBE)
         if len(masks) > share:
             raise MisCapError(cap, cap)
@@ -350,6 +352,34 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
         share //= len(masks)
         alive &= ~comp
     return factors
+
+
+def _mis_lower_bound(adj: tuple[int, ...], alive: int, budget: int) -> int:
+    """A lower bound on the MIS count of the subgraph induced by ``alive``
+    (nonempty), certified, from _narrow_count with ``budget`` entries.
+
+    Each MIS I of an induced subgraph G[S] extends to an MIS of G whose
+    part in S is I, since I is maximal in G[S]; so #MIS(G) >= #MIS(G[S]).
+    A join's bound is the sum of its sides' bounds, a disconnected set's
+    the product of its components'.  Any other set goes to the DP, and
+    while the DP refuses, the vertex of largest alive degree (ties: the
+    larger sum of its neighbors' alive degrees, then the lowest) is
+    deleted and the rest bounded again.  With no deletion the bound is the
+    exact count, as on every graph built from an expression.  The DP
+    accepts one vertex at any budget of 3 or more, so this always ends.
+    """
+    comp = _flood(adj, alive, 0)
+    if comp != alive:
+        return _mis_lower_bound(adj, comp, budget) * _mis_lower_bound(adj, alive & ~comp, budget)
+    side = _flood(adj, alive, -1)
+    if side != alive:
+        return _mis_lower_bound(adj, side, budget) + _mis_lower_bound(adj, alive & ~side, budget)
+    r = _narrow_count(adj, alive, budget)
+    if r is None:
+        deg = {v: (adj[v] & alive).bit_count() for v in _bits_of(alive)}
+        v = max(deg, key=lambda v: (deg[v], sum(deg[u] for u in _bits_of(adj[v] & alive))))
+        r = _mis_lower_bound(adj, alive & ~(1 << v), budget)
+    return r
 
 
 def _mis_masks(adj: tuple[int, ...], whole: int) -> Iterator[int]:
@@ -491,14 +521,9 @@ def count_mis(g: Graph) -> int:
     20 s of CPU time and 220 MiB (measured; see the constant).
     """
     total = g._cache.get("count_mis")
-    if total is None:
-        total = g._cache["count_mis"] = _count_alive(g.adj, g.full_mask, COUNT_MEMO_BUDGET)
-    return total
-
-
-def _count_alive(adj: tuple[int, ...], alive: int, budget: int) -> int:
-    """count_mis of the subgraph induced by alive, uncached, with a memo
-    and DP budget of ``budget`` entries."""
+    if total is not None:
+        return total
+    adj = g.adj
     memo: dict[tuple[int, int], int] = {}
     refused = False
 
@@ -550,7 +575,7 @@ def _count_alive(adj: tuple[int, ...], alive: int, budget: int) -> int:
                 # past 3**(n//3) entries, the most MISes of n = 3k vertices,
                 # the memo recursion measured faster: G(24, p = 0.3) held
                 # 7e5 entries, 75 ms against 1 ms
-                cap = min(budget, 3 ** (alive.bit_count() // 3))
+                cap = min(COUNT_MEMO_BUDGET, 3 ** (alive.bit_count() // 3))
                 r = _narrow_count(adj, alive, cap)
                 refused = r is None
             if r is None:
@@ -566,15 +591,16 @@ def _count_alive(adj: tuple[int, ...], alive: int, budget: int) -> int:
                 r = cnt(alive & ~(v_adj | bit), need & ~v_adj) + cnt(
                     alive & ~bit, need | bit
                 )
-        if len(memo) >= budget:
-            raise CountBudgetError(budget)
+        if len(memo) >= COUNT_MEMO_BUDGET:
+            raise CountBudgetError(COUNT_MEMO_BUDGET)
         memo[key] = r
         return r
 
     try:
-        return cnt(alive, 0)
+        total = g._cache["count_mis"] = cnt(g.full_mask, 0)
     finally:
         memo.clear()  # cnt refers to itself, so without this only gc frees it
+    return total
 
 
 def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .closedforms import max_partition_product, min_separating_sets
 from .complexity import complexity_table
-from .covers import SeparatingCover, graph_from_cover, minimal_cover, validate_cover
+from .covers import SeparatingCover, graph_from_cover, minimal_cover
 from .graphs import Graph, Variant, VertexSet, count_mis, extremal_graph, from_edges
 
 MAX_SCAN_VERTICES = 7  # 2**21 graphs; n = 8 would be 2**28, minutes of CPU
@@ -160,8 +160,7 @@ def brute_min_separating_sets(m: int, mode: str = "direct") -> int:
         subsets = range(1, 1 << m)
         for n in range(1, (1 << m)):
             for family in itertools.combinations(subsets, n):
-                cover = SeparatingCover(m, family)
-                if validate_cover(cover).valid:
+                if _separates(m, family):
                     return n
         raise AssertionError("unreachable: the singleton family always separates")
     if mode == "reduction":
@@ -172,6 +171,18 @@ def brute_min_separating_sets(m: int, mode: str = "direct") -> int:
             n += 1
         return n
     raise ValueError(f"mode must be 'direct' or 'reduction', got {mode!r}")
+
+
+def _separates(m: int, family: tuple[int, ...]) -> bool:
+    """Whether the subsets in family cover 0..m-1 and put each pair x < y
+    in two disjoint members, straight from the definition."""
+    union = 0
+    for s in family:
+        union |= s
+    return union == (1 << m) - 1 and all(
+        any(s >> x & 1 and t >> y & 1 and not s & t for s in family for t in family)
+        for x, y in itertools.combinations(range(m), 2)
+    )
 
 
 def brute_complexity(m: int) -> int:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from miscover import complexity_table, extremal_graph, from_edges
+from miscover import add, complexity_table, extremal_graph, from_edges, mul, one
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5):
@@ -44,6 +44,16 @@ def random_cubic_graph(rng: random.Random, n: int):
         edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
         if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
             return from_edges(n, edges)
+
+
+def random_tree(rng: random.Random, ones: int):
+    """A random expression with the given number of ones: each inner node
+    splits its ones at random and is a sum or a product with equal odds."""
+    if ones == 1:
+        return one()
+    split = rng.randint(1, ones - 1)
+    build = add if rng.random() < 0.5 else mul
+    return build(random_tree(rng, split), random_tree(rng, ones - split))
 
 
 def all_graphs(n: int):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import miscover
 import miscover.graphs
-from conftest import chain_of_triangles, prism_graph
+from conftest import chain_of_triangles, prism_graph, random_graph
 from miscover import (
     Variant,
     complete_graph,
@@ -298,8 +299,8 @@ def test_mis_count_over_budget_is_one_line_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [["mis", "--list"], ["cover-from-graph"]])
 def test_enumeration_over_the_cap_is_one_line_error(tmp_path, capsys, command):
-    # a union, refused by its factors, and a connected graph, refused by
-    # count_mis: 2 * 3**42 (about 2.2e20) and 267 914 296 MISes
+    # a union, refused by its factors, and a connected graph, refused by its
+    # lower bound: 2 * 3**42 (about 2.2e20) and 267 914 296 MISes
     path = tmp_path / "g.txt"
     for graph in (extremal_graph(128), chain_of_triangles(20)):
         write_graph_text(graph, path)
@@ -307,6 +308,31 @@ def test_enumeration_over_the_cap_is_one_line_error(tmp_path, capsys, command):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: number of maximal independent sets exceeds cap 10000000")
+
+
+def test_uncountable_graphs_over_the_cap_fail_fast(tmp_path):
+    # count_mis cannot count G(128, 0.03) or G(128, 0.1), and listing cap + 1
+    # sets took 160 s and 61 s; their lower bounds refuse them after
+    # MIS_COUNT_PROBE sets, in 0.9-1.7 s of CPU with start-up and 64 MiB.
+    # The four commands run at once, each under its own CPU limit.
+    def cap_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(miscover.__file__).parents[1]))
+    procs = []
+    for p in (0.03, 0.1):
+        path = tmp_path / f"g{p}.txt"
+        write_graph_text(random_graph(random.Random(1), 128, p), path)
+        for command in (["mis", "--list"], ["cover-from-graph"]):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "miscover", *command, "--graph", str(path)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=cap_cpu,
+            ))
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (1, "")
+        assert err == "error: number of maximal independent sets exceeds cap 10000000\n"
 
 
 def test_mis_count_and_list(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import random_tree
 from miscover import (
     ExpressionSyntaxError,
     add,
@@ -66,14 +67,6 @@ def test_syntax_errors_carry_position(text, position):
     with pytest.raises(ExpressionSyntaxError) as exc:
         parse_expression(text)
     assert exc.value.position == position
-
-
-def random_tree(rng, ones):
-    if ones == 1:
-        return one()
-    split = rng.randint(1, ones - 1)
-    build = add if rng.random() < 0.5 else mul
-    return build(random_tree(rng, split), random_tree(rng, ones - split))
 
 
 def test_round_trip_on_random_trees():

@@ -9,13 +9,22 @@ from itertools import islice
 import pytest
 
 import miscover.graphs
-from conftest import all_graphs, chain_of_triangles, prism_graph, random_cubic_graph, random_graph
+from conftest import (
+    all_graphs,
+    chain_of_triangles,
+    prism_graph,
+    random_cubic_graph,
+    random_graph,
+    random_tree,
+)
 from miscover import (
+    DEFAULT_MIS_CAP,
     CountBudgetError,
     Graph,
     MisCapError,
     Variant,
     VertexSet,
+    add,
     closed_neighborhood,
     complete_graph,
     complexity_table,
@@ -36,13 +45,17 @@ from miscover import (
     join,
     max_partition_product,
     minimal_expression,
+    mul,
+    one,
     perrin,
 )
 from miscover.graphs import (
     COUNT_MEMO_BUDGET,
+    MIS_COUNT_PROBE,
     _bits_of,
     _flood,
     _mis_factors,
+    _mis_lower_bound,
     _mis_masks,
     _narrow_count,
 )
@@ -429,38 +442,50 @@ def test_enumeration_allocates_one_small_object_per_set():
     assert peak <= 120 * len(sets)
 
 
-def spy_on_counts(monkeypatch) -> list[int]:
-    """The alive mask of each count that enumeration asks for, as it asks."""
+def spy_on_bounds(monkeypatch) -> list[int]:
+    """The alive mask of each lower bound that enumeration asks for, as it
+    asks; the bound's calls on its own parts are not recorded."""
     calls = []
-    count = miscover.graphs._count_alive
+    bound = miscover.graphs._mis_lower_bound
+    depth = 0
 
     def spy(adj, alive, budget):
-        calls.append(alive)
-        return count(adj, alive, budget)
+        nonlocal depth
+        if not depth:
+            calls.append(alive)
+        depth += 1
+        try:
+            return bound(adj, alive, budget)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(miscover.graphs, "_count_alive", spy)
+    monkeypatch.setattr(miscover.graphs, "_mis_lower_bound", spy)
     return calls
 
 
 @pytest.mark.parametrize("fn", [enumerate_mis, cover_from_graph])
 def test_connected_graph_over_the_cap_is_refused_at_the_probe(fn, monkeypatch):
-    # 267 914 296 MISes, which count_mis finds in milliseconds, so the
-    # listing stops at MIS_COUNT_PROBE masks (0.1 s), not at cap + 1 (15 s)
+    # 267 914 296 MISes, which the lower bound finds exactly in milliseconds,
+    # so the listing stops at MIS_COUNT_PROBE masks (0.1 s), not at cap + 1
+    # (15 s)
     g = chain_of_triangles(20)
-    calls = spy_on_counts(monkeypatch)
+    calls = spy_on_bounds(monkeypatch)
+    drawn = spy_on_listings(monkeypatch)
     with pytest.raises(MisCapError) as exc:
         fn(g, cap=10**7)
     assert exc.value.cap == 10**7
     assert calls == [g.full_mask]
-    assert count_mis(g) == 267_914_296
+    assert drawn == [miscover.graphs.MIS_COUNT_PROBE + 1]
+    assert _mis_lower_bound(g.adj, g.full_mask, 10**7) == count_mis(g) == 267_914_296
 
 
 def test_mis_masks_probe_keeps_every_list_and_refusal(monkeypatch):
-    # past a probe of 3 or 30 masks, count_mis is asked, with as many memo
-    # entries, under every larger cap; a count over the cap refuses at once,
-    # and a count over that budget keeps listing.  The answers stay the seed
-    # recursion's either way.
-    calls = spy_on_counts(monkeypatch)
+    # past a probe of 3 or 30 masks, the lower bound is asked, with a DP
+    # budget of the cap, under every larger cap; a bound over the cap
+    # refuses at once, and one within it keeps listing.  The answers stay
+    # the seed recursion's either way.
+    bound = miscover.graphs._mis_lower_bound
+    calls = spy_on_bounds(monkeypatch)
     drawn = spy_on_listings(monkeypatch)
     spider = spider_graph(random.Random(43), 2, 3, 3)
     graphs = [prism_graph(6), spider, chain_of_triangles(4), cycle_graph(11)]
@@ -479,15 +504,74 @@ def test_mis_masks_probe_keeps_every_list_and_refusal(monkeypatch):
                         _mis_factors(g.adj, g.full_mask, cap)
                 if probe < cap < len(full):
                     assert calls == [g.full_mask]
-                    try:
-                        counted = miscover.graphs._count_alive(g.adj, g.full_mask, probe)
-                    except CountBudgetError:
-                        counted = None
-                    refused.append(counted is not None)
-                    assert drawn == [probe + 1 if counted else cap + 1]
+                    over = bound(g.adj, g.full_mask, cap) > cap
+                    refused.append(over)
+                    assert drawn == [probe + 1 if over else cap + 1]
                 else:
                     assert calls in ([], [g.full_mask]) and (cap > probe or not calls)
-    assert True in refused and False in refused  # counted, and over budget
+    assert True in refused and False in refused  # bounds over and within the cap
+
+
+def test_lower_bound_never_exceeds_the_brute_force_count():
+    # small budgets make the bound delete vertices.  Eliminating n vertices
+    # takes at most 3**n + ... + 3 = (3**(n + 1) - 3) / 2 entries, 9 840 for
+    # n = 8, so up to 8 vertices the bound at 10**4 entries is the count
+    rng = random.Random(53)
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        count = len(brute_mis_masks(g))
+        budget = rng.choice([3, 20, 100, 10**4])
+        got = _mis_lower_bound(g.adj, g.full_mask, budget)
+        assert 1 <= got <= count
+        if n <= 8 and budget == 10**4:
+            assert got == count
+
+
+def test_lower_bound_never_exceeds_the_seed_count_on_sparse_graphs():
+    for g in sparse_connected_graphs():
+        count = seed_count_mis(g)
+        for budget in (3, 100, 10**4, DEFAULT_MIS_CAP):
+            assert 1 <= _mis_lower_bound(g.adj, g.full_mask, budget) <= count
+
+
+def test_lower_bound_is_exact_on_expression_graphs_and_chains():
+    # an expression's graph splits into joins and unions down to single
+    # vertices, so nothing is deleted at any budget; a chain of k triangles
+    # fits the DP whole, and has Fibonacci(2k + 2) MISes
+    rng = random.Random(59)
+    for _ in range(300):
+        e = random_tree(rng, rng.randint(1, 90))
+        g = graph_from_expression(e)
+        for budget in (3, DEFAULT_MIS_CAP):
+            assert _mis_lower_bound(g.adj, g.full_mask, budget) == e.value
+    fib = [0, 1]
+    while len(fib) < 87:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(1, 43):
+        g = chain_of_triangles(k)
+        assert _mis_lower_bound(g.adj, g.full_mask, DEFAULT_MIS_CAP) == fib[2 * k + 2]
+
+
+def test_graphs_the_count_probe_missed_are_refused_at_the_probe(monkeypatch):
+    # a join of 123 vertices with 2 * 3**14 + 3**13 = 11 160 261 MISes:
+    # without the join split its bound was 4 782 970, under the cap.  And a
+    # G(76, 0.05) with 12 087 195 MISes: at a DP budget of 10**6 entries,
+    # not the share's 10**7, its bound was 8.8-9.3 * 10**6.  Each refusal
+    # takes about 1 s; listing cap + 1 masks took about 10 s
+    triple = add(add(one(), one()), one())
+    powers = [triple]
+    while len(powers) < 14:
+        powers.append(mul(powers[-1], triple))
+    e = add(add(powers[13], powers[13]), powers[12])
+    assert (e.ones, e.value) == (123, 11_160_261)
+    sparse = random_graph(random.Random(91 * 76 + 1), 76, 0.05)
+    drawn = spy_on_listings(monkeypatch)
+    for g in (graph_from_expression(e), sparse):
+        drawn.clear()
+        with pytest.raises(MisCapError):
+            _mis_factors(g.adj, g.full_mask, DEFAULT_MIS_CAP)
+        assert drawn == [MIS_COUNT_PROBE + 1]
 
 
 def sparse_connected_graphs() -> list[Graph]:

@@ -1,7 +1,9 @@
 import pytest
 
+import miscover.covers
 import miscover.oracles
 from miscover import (
+    CoverReport,
     Variant,
     count_mis,
     extremal_graph,
@@ -62,6 +64,18 @@ def test_separating_modes_agree():
         direct = brute_min_separating_sets(m, "direct")
         reduced = brute_min_separating_sets(m, "reduction")
         assert direct == reduced == min_separating_sets(m)
+
+
+def test_separating_search_does_not_trust_the_validator(monkeypatch):
+    # the direct search certifies validate_cover's answers, so it checks
+    # each family itself: with a validator that calls every family valid it
+    # still finds 1, 2, 3, 4 sets, not 1 for every m
+    def valid(cover):
+        return CoverReport(covering=True, separating=True)
+
+    monkeypatch.setattr(miscover.covers, "validate_cover", valid)
+    monkeypatch.setattr(miscover.oracles, "validate_cover", valid, raising=False)
+    assert [brute_min_separating_sets(m, "direct") for m in range(1, 5)] == [1, 2, 3, 4]
 
 
 def test_separating_reduction_matches_closed_form():

@@ -66,3 +66,18 @@ def test_start_up_imports_stay_lazy():
                 if eager_numpy or eager_submodule:
                     found.append(f"{path.name}:{node.lineno} {module}")
     assert found == []
+
+
+def test_oracles_import_no_cover_validator():
+    # an oracle must not reuse the code it certifies: the separating-cover
+    # search checks each family itself, not through validate_cover or its
+    # scan
+    path = SRC / "oracles.py"
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("validate_cover", "_scan")
+    ]
+    assert found == []
