@@ -47,18 +47,21 @@ stays quadratic, since finding an unseparated pair is an
 orthogonal-vectors search.
 
 ``cover_from_graph`` and ``minimal_cover`` share one builder, which
-lists no MIS of the whole graph.  ``graphs._mis_factors`` splits the
-MISes into factors F_1..F_r: components lying wholly below the rest, then
-what is left.  In canonical order the MISes count in mixed radix, F_1 the
-most significant digit: MIS x holds MIS number floor(x / P) mod t of a
-factor with t MISes, P being the product of the later factors' sizes.
-So the set of a vertex v of that factor is a run of P ones at j * P for
-each MIS j of the factor that holds v, repeated with period t * P and cut
-to m bits.  Only the factors' own short MIS lists go through
-``_transpose``, which says which of them hold v.  ``cover_from_graph``
-takes all the MISes; ``minimal_cover(m)`` takes the first m of the
-extremal graph on min_separating_sets(m) vertices, a union of cliques,
-whose sets are then single periodic runs.
+lists no MIS of the whole graph.  It takes the MISes as factors
+F_1..F_r on consecutive vertices.  In canonical order the MISes count in
+mixed radix, F_1 the most significant digit: MIS x holds MIS number
+floor(x / P) mod t of a factor with t MISes, P being the product of the
+later factors' sizes.  So the set of a vertex v of that factor is a run
+of P ones at j * P for each MIS j of the factor that holds v, repeated
+with period t * P and cut to m bits.  Only the factors' own short MIS
+lists go through ``_transpose``, which says which of them hold v.
+``cover_from_graph`` takes all the MISes of the factors that
+``graphs._mis_factors`` finds: components lying wholly below the rest,
+then what is left.  ``minimal_cover(m)`` takes the first m MISes of the
+extremal graph on min_separating_sets(m) vertices, a union of cliques
+whose sizes ``closedforms._parts`` gives.  It builds no graph and lists
+nothing: a clique's MISes are its vertices, so each factor is written
+down at once, and every set is a single periodic run.
 
 ``graph_from_cover`` validates once and builds no witness MISes: in a
 valid cover, distinct x and y are split by disjoint sets S containing x
@@ -82,15 +85,8 @@ from dataclasses import dataclass
 from operator import and_, ne
 from pathlib import Path
 
-from .closedforms import _is_index, min_separating_sets
-from .graphs import (
-    DEFAULT_MIS_CAP,
-    MAX_VERTICES,
-    Graph,
-    _bits_of,
-    _mis_factors,
-    extremal_graph,
-)
+from .closedforms import _check_positive, _is_index, _parts, min_separating_sets
+from .graphs import DEFAULT_MIS_CAP, MAX_VERTICES, Graph, _bits_of, _mis_factors
 
 # the byte with bit i set, for i < 8
 _BIT = bytes(1 << i for i in range(8))
@@ -401,24 +397,25 @@ def cover_from_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
             "graph must have at least one vertex: the empty graph's sole "
             "MIS would leave a one-element ground set with no sets at all"
         )
-    return _mis_cover(g, cap)
+    return _mis_cover(_mis_factors(g.adj, g.full_mask, cap))
 
 
-def _mis_cover(g: Graph, cap: int, m: int | None = None) -> SeparatingCover:
-    """The MIS cover of g cut to its first m MISes (all of them by default).
+def _mis_cover(factors, m: int | None = None) -> SeparatingCover:
+    """The cover of the product of the factors, cut to its first m
+    elements (all of them by default).
 
-    The factors' MIS lists go through one ``_transpose``, end to end, so
-    that for a vertex v, bit j of its column past the offset of v's factor
-    says whether MIS j of that factor holds v.  With t the size of v's
-    factor and P the product of the later factors' sizes, v gets a run of
-    P ones at j * P for each such j (``_spread``), repeated with period
-    t * P and cut to m bits.  Vertex sets left empty by the cut are
-    dropped.  Raises MisCapError if g has more than cap MISes, by the
-    policy of ``graphs._mis_factors``.
+    ``factors`` are (vertex mask, MIS masks in canonical order) pairs, as
+    ``graphs._mis_factors`` gives them: each holds consecutive vertices, in
+    order, so the last one ends at the vertex count.  The factors' MIS
+    lists go through one ``_transpose``, end to end, so that for a vertex
+    v, bit j of its column past the offset of v's factor says whether MIS
+    j of that factor holds v.  With t the size of v's factor and P the
+    product of the later factors' sizes, v gets a run of P ones at j * P
+    for each such j (``_spread``), repeated with period t * P and cut to
+    m bits.  Vertex sets left empty by the cut are dropped.
     """
-    factors = _mis_factors(g.adj, g.full_mask, cap)
     rows = factors[0][1] if len(factors) == 1 else [x for _, masks in factors for x in masks]
-    signature = _transpose(rows, g.n)
+    signature = _transpose(rows, factors[-1][0].bit_length())
     later = math.prod(len(masks) for _, masks in factors)
     m = later if m is None else m
     keep = (1 << m) - 1
@@ -492,21 +489,27 @@ def minimal_cover(m: int) -> SeparatingCover:
     vertices, which has at least m MISes, restricted to its first m MISes
     in canonical order; the restriction keeps both properties (surviving
     elements keep a containing set, surviving pairs keep their disjoint
-    witnesses).  The graph is a union of cliques, each its own factor, so
-    every set is a periodic run pattern laid out by the builder of
-    ``cover_from_graph``, in O(m) bit operations, with no enumeration.
-    Vertex sets left empty are dropped.
+    witnesses).  That graph is one clique per part of
+    ``closedforms._parts``, on consecutive vertices, and a clique's MISes
+    are its vertices in order.  So the cliques go to the builder of
+    ``cover_from_graph`` as its factors as they are, with no graph built
+    and no MIS listed, and every set is a periodic run pattern laid out in
+    O(m) bit operations.  Vertex sets left empty are dropped.
 
     m is bounded by 10**6.  At that bound this call took about 15 ms of
     CPU, and ``miscover minimal-cover 1000000 --out F`` about 5 s of wall
     time and 242 MiB peak RSS, nearly all of it formatting 90 MB of JSON
     (2-core x86, Python 3.11).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_positive("m", m)
     if m > 10**6:
         raise ValueError(f"m must be <= 10**6, got {m}")
-    return _mis_cover(extremal_graph(min_separating_sets(m)), DEFAULT_MIS_CAP, m)
+    i, tail = _parts(min_separating_sets(m))
+    factors, off = [], 0
+    for k in [3] * i + tail:
+        factors.append((((1 << k) - 1) << off, [1 << v for v in range(off, off + k)]))
+        off += k
+    return _mis_cover(factors, m)
 
 
 # ---------------------------------------------------------------------------

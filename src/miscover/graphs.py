@@ -50,7 +50,7 @@ from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .closedforms import _is_index
+from .closedforms import _is_index, _parts
 
 MAX_VERTICES = 128
 DEFAULT_MIS_CAP = 10_000_000
@@ -65,9 +65,11 @@ COUNT_MEMO_BUDGET = 1_000_000
 # whether it exceeds its share of the cap (the policy is in _mis_factors'
 # docstring).  65 536 masks are about 0.1 s of listing and ten times the
 # benchmark's largest enumeration, 6 561 sets, so a factor with fewer sets
-# never pays for the bound: on random 28-vertex cubic graphs it took
-# 0.9-2.7 ms, 30-70 % of their 2.8-5.5 ms listing (2-core x86 host,
-# Python 3.11)
+# never pays for the bound.  The probe is what keeps a bound of up to
+# 1.5 s off small factors: G(48, 0.3), seed 1, lists its 4 890 MISes in
+# 22 ms but takes 1.2 s to bound, nearly all in one accepted _narrow_count
+# call; random 28-vertex cubic graphs take 0.9-2.7 ms, 30-70 % of their
+# 2.8-5.5 ms listing (2-core x86 host, Python 3.11)
 MIS_COUNT_PROBE = 65_536
 
 
@@ -158,7 +160,7 @@ class Graph:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
+        if not (_is_index(self.n) and self.n <= MAX_VERTICES):
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
@@ -199,7 +201,7 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given undirected edges."""
-    if not 0 <= n <= MAX_VERTICES:
+    if not (_is_index(n) and n <= MAX_VERTICES):
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     adj = [0] * n
     for u, v in edges:
@@ -214,7 +216,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete_graph(k: int) -> Graph:
     """K_k: all pairs adjacent.  It has exactly k MISes (the singletons)."""
-    if not 0 <= k <= MAX_VERTICES:
+    if not (_is_index(k) and k <= MAX_VERTICES):
         raise ValueError(f"k must be in 0..{MAX_VERTICES}, got {k}")
     full = (1 << k) - 1
     return Graph(k, tuple(full ^ (1 << v) for v in range(k)))
@@ -222,7 +224,7 @@ def complete_graph(k: int) -> Graph:
 
 def cycle_graph(j: int) -> Graph:
     """C_j: vertices i and i+1 (mod j) adjacent, nothing else."""
-    if not 3 <= j <= MAX_VERTICES:
+    if not (_is_index(j) and 3 <= j <= MAX_VERTICES):
         raise ValueError(f"cycle length must be in 3..{MAX_VERTICES}, got {j}")
     return from_edges(j, [(i, (i + 1) % j) for i in range(j)])
 
@@ -324,10 +326,11 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
       end or to share + 1 masks;
     - past share + 1 masks the factor is refused.
 
-    The bound comes after the probe's masks, not before them: it costs a
-    third to two thirds of a small factor's listing (see MIS_COUNT_PROBE),
-    and 0.05-0.8 s of CPU on G(128, p) for p = 0.02 to 0.5 (seeds 1-3 of
-    the tests' random_graph, 2-core x86, Python 3.11).
+    The bound comes after the probe's masks, not before them: it can cost
+    far more than a small factor's listing (see MIS_COUNT_PROBE), and on
+    the tests' random_graph, seed 1, it took 0.44 / 0.77 / 0.96 s of CPU
+    on G(128, p) for p = 0.3 / 0.5 / 0.9, 0.93 s on G(64, 0.5) and 1.2 s
+    on G(48, 0.3) (2-core x86, Python 3.11).
     The budget is the share because the DP's tables are then no larger
     than the listing they can save, and a smaller one bounds too low: at
     10**6 entries a G(76, 0.05) with 12 087 195 MISes was bounded at
@@ -803,21 +806,21 @@ class Variant(enum.Enum):
 def extremal_graph(n: int, variant: Variant = Variant.DEFAULT) -> Graph:
     """An n-vertex graph attaining the maximum MIS count.
 
-    Disjoint cliques in the quantities dictated by n mod 3: i triangles
-    (n = 3i); i triangles plus an edge (n = 3i+2); and for n = 3i+1 >= 4
-    either i-1 triangles plus two edges (TWO_EDGES, the default) or i-1
-    triangles plus a K_4 (K4).  The MIS count is max_partition_product(n).
+    Disjoint cliques, in label order, one per part of
+    ``closedforms._parts(n)``: i triangles (n = 3i); i triangles plus an
+    edge (n = 3i+2); and for n = 3i+1 >= 4 either i-1 triangles plus two
+    edges (TWO_EDGES, the default) or i-1 triangles plus a K_4 (K4).  The
+    MIS count is max_partition_product(n).
     """
-    if not 1 <= n <= MAX_VERTICES:
+    if not (_is_index(n) and 1 <= n <= MAX_VERTICES):
         raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
     if variant != Variant.DEFAULT and not (n % 3 == 1 and n >= 4):
         raise ValueError(
             f"variant {variant.value!r} only applies when n = 3i+1 >= 4, got n={n}"
         )
-    i, r = divmod(n, 3)
-    # for n = 3i+1 the last triangle and the extra vertex make two edges or a K_4
-    last = {0: [], 1: [4] if variant == Variant.K4 else [2, 2], 2: [2]}[r]
-    sizes = [1] if n == 1 else [3] * (i - (r == 1)) + last
+    i, tail = _parts(n)
+    # for n = 3i+1 the two edges of the tail may be one K_4 instead
+    sizes = [3] * i + ([4] if variant == Variant.K4 else tail)
     adj = [0] * n
     off = 0
     for k in sizes:
@@ -854,13 +857,13 @@ def graph_from_text(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
-            n, declared = int(parts[1]), int(parts[2])
+            n, declared = _int_fields(parts, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _int_fields(parts, lineno)
             if not u < v:
                 raise ValueError(f"line {lineno}: endpoints must satisfy u < v")
             if (u, v) in seen:
@@ -874,6 +877,14 @@ def graph_from_text(text: str) -> Graph:
     if len(edges) != declared:
         raise ValueError(f"header declares {declared} edges, found {len(edges)}")
     return from_edges(n, edges)
+
+
+def _int_fields(parts: list[str], lineno: int) -> tuple[int, int]:
+    """The two integer fields of a record, or a ValueError naming the line."""
+    try:
+        return int(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
 
 
 def write_graph_text(g: Graph, path) -> None:

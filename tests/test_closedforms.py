@@ -90,6 +90,48 @@ def test_min_separating_sets_is_min_threshold_form():
         prev = s
 
 
+def seed_max_partition_product(n: int) -> int:
+    """The three-case form that max_partition_product replaced, as a reference."""
+    if n == 1:
+        return 1
+    i, r = divmod(n, 3)
+    if r == 0:
+        return 3**i
+    if r == 1:
+        return 4 * 3 ** (i - 1)
+    return 2 * 3**i
+
+
+def seed_min_separating_sets(m: int) -> int:
+    """The range loop that min_separating_sets replaced, as a reference."""
+    if m == 1:
+        return 1
+    if m == 2:
+        return 2
+    i = 1
+    pow3 = 3  # 3**i
+    while True:
+        prev = pow3 // 3  # 3**(i-1)
+        if 2 * prev < m <= pow3:
+            return 3 * i
+        if pow3 < m <= 4 * prev:
+            return 3 * i + 1
+        if 4 * prev < m <= 2 * pow3:
+            return 3 * i + 2
+        pow3 *= 3
+        i += 1
+
+
+def test_closed_forms_match_seed_code():
+    # min_separating_sets is now its own threshold definition, so the test
+    # above checks it against itself; these references stay independent
+    for n in [*range(1, 3001), 10**4, 27_037, 10**5]:
+        assert max_partition_product(n) == seed_max_partition_product(n)
+    around = {b + d for k in range(200) for b in (3**k, 2 * 3**k, 4 * 3**k) for d in (-1, 0, 1)}
+    for m in sorted(set(range(1, 20_001)) | around - {0}):
+        assert min_separating_sets(m) == seed_min_separating_sets(m)
+
+
 def test_perrin_seeds_and_values():
     assert [perrin(j) for j in range(1, 11)] == [0, 2, 3, 2, 5, 5, 7, 10, 12, 17]
     with pytest.raises(ValueError):

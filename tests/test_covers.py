@@ -715,6 +715,26 @@ def test_minimal_cover_is_truncated_full_cover():
             assert cover_to_json(got) == seed_cover_to_json(expected)
 
 
+def test_minimal_cover_builds_no_graph_and_lists_nothing(monkeypatch):
+    # the cliques of closedforms._parts go to the builder as its factors;
+    # the test above still checks the layout against the listed MISes
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_cover must not build a graph or list MISes")
+
+    monkeypatch.setattr(miscover.covers, "_mis_factors", refuse)
+    monkeypatch.setattr(miscover.graphs, "_mis_masks", refuse)
+    monkeypatch.setattr(miscover.graphs, "extremal_graph", refuse)
+    monkeypatch.setattr(miscover.graphs.Graph, "__post_init__", refuse)
+    for m in (1, 2, 10, 10**4, 10**6):
+        assert minimal_cover(m).ground_size == m
+
+
+@pytest.mark.parametrize("m", [True, 2.5, "5", 0])
+def test_minimal_cover_takes_only_ints_from_one(m):
+    with pytest.raises(ValueError, match=f"^m must be an int >= 1, got {m!r}$"):
+        minimal_cover(m)
+
+
 def test_minimal_cover_is_optimal_up_to_12():
     for m in range(1, 13):
         boundary = brute_min_separating_sets(m, mode="reduction")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from itertools import islice
@@ -977,6 +978,56 @@ def test_extremal_graph_variant_validation():
         extremal_graph(0)
 
 
+def seed_extremal_graph(n: int, variant: Variant) -> Graph:
+    """The clique sizes extremal_graph used before closedforms._parts, as a
+    reference: the variant check, then a size per remainder of n mod 3."""
+    if not 1 <= n <= 128:
+        raise ValueError(f"n must be in 1..128, got {n}")
+    if variant != Variant.DEFAULT and not (n % 3 == 1 and n >= 4):
+        raise ValueError(
+            f"variant {variant.value!r} only applies when n = 3i+1 >= 4, got n={n}"
+        )
+    i, r = divmod(n, 3)
+    last = {0: [], 1: [4] if variant == Variant.K4 else [2, 2], 2: [2]}[r]
+    sizes = [1] if n == 1 else [3] * (i - (r == 1)) + last
+    adj, off = [], 0
+    for k in sizes:
+        adj += [((1 << k) - 1 << off) ^ (1 << v) for v in range(off, off + k)]
+        off += k
+    return Graph(n, tuple(adj))
+
+
+def test_extremal_graph_matches_seed_code():
+    for n in range(-1, 131):
+        for variant in Variant:
+            try:
+                expected = seed_extremal_graph(n, variant)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    extremal_graph(n, variant)
+            else:
+                assert extremal_graph(n, variant) == expected
+
+
+@pytest.mark.parametrize("x", [True, 2.5, "5"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda x: Graph(x, (0,)), "vertex count must be in 0..128"),
+        (lambda x: from_edges(x, []), "vertex count must be in 0..128"),
+        (complete_graph, "k must be in 0..128"),
+        (cycle_graph, "cycle length must be in 3..128"),
+        (extremal_graph, "n must be in 1..128"),
+    ],
+    ids=["Graph", "from_edges", "complete_graph", "cycle_graph", "extremal_graph"],
+)
+def test_sizes_take_only_non_bool_ints(make, message, x):
+    # a bool passes isinstance(x, int): extremal_graph(True) would be one
+    # vertex whose text header reads "p True 0", which graph_from_text refuses
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {x}$"):
+        make(x)
+
+
 def test_independence_helpers():
     g = cycle_graph(4)
     assert is_independent(g, {0, 2})
@@ -1011,6 +1062,8 @@ def test_graph_text_accepts_comments():
         ("p 2 2\ne 0 1\ne 0 1\n", "duplicate edge"),
         ("p 2 2\ne 0 1\n", "declares 2 edges"),
         ("p 2 0\nq\n", "unknown record"),
+        ("p 3 x\n", "^line 1: invalid literal for int"),
+        ("p 2 1\ne 0 x\n", "^line 2: invalid literal for int"),
         ("", "missing"),
     ],
 )

@@ -1,9 +1,22 @@
 """Rules on the library's source text that no behavioural test can see."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "miscover"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "miscover"
+
+
+def test_library_parses_at_the_declared_python_floor():
+    # requires-python is read by a regex, not tomllib, which is new in 3.11;
+    # the rule follows the declared floor, so the two cannot drift apart
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text, re.MULTILINE)
+    assert floor is not None, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_library_has_no_assert_statements():
