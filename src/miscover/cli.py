@@ -17,9 +17,10 @@ import os
 import sys
 
 # The largest arguments whose answers print under Python's default limit of
-# 4 300 digits for int-to-str conversion: ell(27 037) and perrin(35 210)
-# have 4 300 digits.  Larger ones are rejected before computing: ell(10**8)
-# and perrin(10**7) were still computing after 20 s, only to fail to print.
+# 4 300 digits for int-to-str conversion: ell(27 037), which maxones prints
+# too, and perrin(35 210) have 4 300 digits.  Larger ones are rejected before
+# computing: ell(10**8) and perrin(10**7) were still computing after 20 s,
+# only to fail to print.
 ELL_MAX_N = 27037
 PERRIN_MAX_J = 35210
 
@@ -82,7 +83,7 @@ def _cmd_perrin(args) -> int:
 def _cmd_maxones(args) -> int:
     from .closedforms import max_with_ones
 
-    print(max_with_ones(args.n))
+    print(max_with_ones(_printable("n", args.n, ELL_MAX_N)))
     return 0
 
 
@@ -308,12 +309,6 @@ def run(argv: list[str] | None = None) -> int:
         message = str(e)
     except MemoryError as e:
         message = str(e) or "out of memory"
-    except RuntimeError as e:
-        from .graphs import MisCapError  # only a raised error pays for this import
-
-        if not isinstance(e, MisCapError):
-            raise
-        message = str(e)
     # printed once the except clause has let go of the failed call's frames
     print(f"error: {message}", file=sys.stderr)
     return 1

@@ -5,13 +5,11 @@ nothing here rounds or overflows, and any other argument (2.5, 7.0, True)
 is a ValueError.  ``max_partition_product`` and ``min_separating_sets`` are a
 left-inverse pair (``min_separating_sets(max_partition_product(n)) == n``),
 which the test suite verifies against brute-force search.
+``max_with_ones`` is ``max_partition_product`` under Mahler and Popken's
+name for it, so the largest partition product is computed in one place.
 """
 
 import math
-
-# max_with_ones is a quadratic DP over big ints: 2 000 took 0.8 s of CPU on
-# a 2-core x86 host, Python 3.11 (1 000: 0.11 s, 4 000: 6.7 s).
-MAX_ONES = 2000
 
 
 def _is_index(x) -> bool:
@@ -98,20 +96,12 @@ def perrin(j: int) -> int:
 def max_with_ones(n: int) -> int:
     """Largest integer expressible with exactly n ones under + and *.
 
-    Computed by the direct DP E(n) = max over a+b=n of max(E(a)+E(b),
-    E(a)*E(b)) with E(1)=1, independent of max_partition_product; the two
-    agree everywhere (tested, not assumed).  n is at most MAX_ONES.
+    It is max_partition_product(n) (Mahler and Popken, 1953), and the
+    paper's closing section derives this again from Moon-Moser: sums
+    become joins and products disjoint unions, so an expression with n
+    ones is an n-vertex graph with as many MISes as its value, at most
+    max_partition_product(n); a product of sums of three ones (and of
+    two) attains it.  The tests compare it with the direct quadratic DP
+    over the splits of n.
     """
-    _check_positive("n", n)
-    if n > MAX_ONES:
-        raise ValueError(f"n must be <= MAX_ONES = {MAX_ONES}, got {n}")
-    e = [0, 1]
-    for k in range(2, n + 1):
-        best = 0
-        for a in range(1, k // 2 + 1):
-            x, y = e[a], e[k - a]
-            cand = x * y if x * y > x + y else x + y
-            if cand > best:
-                best = cand
-        e.append(best)
-    return e[n]
+    return max_partition_product(n)

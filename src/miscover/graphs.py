@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import add, mul, sub
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .closedforms import _is_index, _parts
 
@@ -73,17 +73,18 @@ COUNT_MEMO_BUDGET = 1_000_000
 MIS_COUNT_PROBE = 65_536
 
 
-class MisCapError(RuntimeError):
+class MisCapError(ValueError, RuntimeError):
     """Raised when enumeration would exceed its cap.
 
-    partial_count always equals cap: a graph over the cap is refused
-    without listing all its sets, so no count beyond the cap is known.
+    A ValueError like every other refusal in miscover, and still a
+    RuntimeError, as it was before, for handlers that catch that.  A graph
+    over the cap is refused without listing all its sets, so the error
+    carries the cap alone: no count beyond it is known.
     """
 
-    def __init__(self, cap: int, partial_count: int):
+    def __init__(self, cap: int):
         super().__init__(f"number of maximal independent sets exceeds cap {cap}")
         self.cap = cap
-        self.partial_count = partial_count
 
 
 class CountBudgetError(ValueError):
@@ -160,8 +161,7 @@ class Graph:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (_is_index(self.n) and self.n <= MAX_VERTICES):
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
+        _check_size("vertex count", self.n, 0)
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
         adj = self.adj
@@ -199,10 +199,16 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
+def _check_size(name: str, x, lo: int) -> None:
+    """The vertex-count check of every constructor: a non-bool int in
+    lo..MAX_VERTICES, else a ValueError naming the argument."""
+    if not (_is_index(x) and lo <= x <= MAX_VERTICES):
+        raise ValueError(f"{name} must be in {lo}..{MAX_VERTICES}, got {x}")
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given undirected edges."""
-    if not (_is_index(n) and n <= MAX_VERTICES):
-        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+    _check_size("vertex count", n, 0)
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -216,16 +222,14 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete_graph(k: int) -> Graph:
     """K_k: all pairs adjacent.  It has exactly k MISes (the singletons)."""
-    if not (_is_index(k) and k <= MAX_VERTICES):
-        raise ValueError(f"k must be in 0..{MAX_VERTICES}, got {k}")
+    _check_size("k", k, 0)
     full = (1 << k) - 1
     return Graph(k, tuple(full ^ (1 << v) for v in range(k)))
 
 
 def cycle_graph(j: int) -> Graph:
     """C_j: vertices i and i+1 (mod j) adjacent, nothing else."""
-    if not (_is_index(j) and 3 <= j <= MAX_VERTICES):
-        raise ValueError(f"cycle length must be in 3..{MAX_VERTICES}, got {j}")
+    _check_size("cycle length", j, 3)
     return from_edges(j, [(i, (i + 1) % j) for i in range(j)])
 
 
@@ -238,8 +242,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
     if n > MAX_VERTICES:
         raise ValueError(f"union would have {n} > {MAX_VERTICES} vertices")
-    adj = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(_side_by_side(g.adj, h.adj, False)))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -251,11 +254,19 @@ def join(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
     if n > MAX_VERTICES:
         raise ValueError(f"join would have {n} > {MAX_VERTICES} vertices")
-    g_mask = (1 << g.n) - 1
-    h_mask = ((1 << h.n) - 1) << g.n
-    adj = [row | h_mask for row in g.adj]
-    adj += [(row << g.n) | g_mask for row in h.adj]
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(_side_by_side(g.adj, h.adj, True)))
+
+
+def _side_by_side(a: Sequence[int], b: Sequence[int], joined: bool) -> list[int]:
+    """The adjacency rows a, then the rows b with b's vertices numbered
+    after a's; if ``joined``, every vertex of one side is also adjacent to
+    every vertex of the other.  The one row rule of disjoint_union, join
+    and complexity.graph_from_expression.
+    """
+    shift = len(a)
+    a_side = (1 << shift) - 1 if joined else 0
+    b_side = ((1 << len(b)) - 1) << shift if joined else 0
+    return [row | b_side for row in a] + [row << shift | a_side for row in b]
 
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
@@ -347,10 +358,10 @@ def _mis_factors(adj: tuple[int, ...], alive: int, cap: int) -> list[tuple[int, 
         masks = list(islice(listing, min(share, MIS_COUNT_PROBE) + 1))
         if share > MIS_COUNT_PROBE < len(masks):
             if _mis_lower_bound(adj, comp, min(share, DEFAULT_MIS_CAP)) > share:
-                raise MisCapError(cap, cap)
+                raise MisCapError(cap)
             masks += islice(listing, share - MIS_COUNT_PROBE)
         if len(masks) > share:
-            raise MisCapError(cap, cap)
+            raise MisCapError(cap)
         factors.append((comp, masks))
         share //= len(masks)
         alive &= ~comp
@@ -812,8 +823,7 @@ def extremal_graph(n: int, variant: Variant = Variant.DEFAULT) -> Graph:
     edges (TWO_EDGES, the default) or i-1 triangles plus a K_4 (K4).  The
     MIS count is max_partition_product(n).
     """
-    if not (_is_index(n) and 1 <= n <= MAX_VERTICES):
-        raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
+    _check_size("n", n, 1)
     if variant != Variant.DEFAULT and not (n % 3 == 1 and n >= 4):
         raise ValueError(
             f"variant {variant.value!r} only applies when n = 3i+1 >= 4, got n={n}"

@@ -367,7 +367,9 @@ def run_verification(level: str = "quick") -> list[OracleReport]:
         reports.append(
             _report("complexity", m, lambda m=m: brute_complexity(m), table[m])
         )
-    # other direction of the duality: largest m handled by n sets
+    # other direction of the duality: largest m handled by n sets, against
+    # the closed form (reduction mode is defined by brute_max_mis_count, so
+    # comparing with that would hold for any monotone count)
     for n in range(1, g_max + 1):
         cap = min(s_max, 12)
         reports.append(
@@ -379,7 +381,7 @@ def run_verification(level: str = "quick") -> list[OracleReport]:
                     for m in range(1, cap + 1)
                     if brute_min_separating_sets(m, mode="reduction") <= n
                 ),
-                brute_max_mis_count(n),
+                max_partition_product(n),
             )
         )
     # extremal graphs match the clique-union constructions exactly

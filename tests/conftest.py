@@ -63,6 +63,21 @@ def all_graphs(n: int):
         yield from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
+def seed_max_with_ones(n: int) -> list[int]:
+    """E[0..n] by the quadratic DP that max_with_ones replaced, as a
+    reference: E(k) = max over a+b=k of max(E(a)+E(b), E(a)*E(b)), E(1)=1."""
+    e = [0, 1]
+    for k in range(2, n + 1):
+        best = 0
+        for a in range(1, k // 2 + 1):
+            x, y = e[a], e[k - a]
+            cand = x * y if x * y > x + y else x + y
+            if cand > best:
+                best = cand
+        e.append(best)
+    return e[: n + 1]
+
+
 @pytest.fixture(scope="session")
 def big_table():
     # limit exceeds max_partition_product(25) + 1 = 8749, as the largest-

@@ -10,7 +10,7 @@ import time
 from math import comb
 from pathlib import Path
 
-from conftest import all_graphs, random_graph, random_graph_no_isolated
+from conftest import all_graphs, random_graph, random_graph_no_isolated, seed_max_with_ones
 from miscover import (
     Variant,
     complexity_table,
@@ -176,8 +176,9 @@ def test_largest_integer_of_each_complexity(big_table):
             largest[c] = m
     for n in range(1, 26):
         assert largest[n] == max_partition_product(n)
+    seed = seed_max_with_ones(40)
     for n in range(1, 41):
-        assert max_with_ones(n) == max_partition_product(n)
+        assert max_with_ones(n) == seed[n]
     report(
         "largest-of-complexity",
         "max{m : c(m)=n} matches for n=1..25; ones-DP matches to n=40",

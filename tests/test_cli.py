@@ -70,9 +70,15 @@ def test_unprintable_answers_are_rejected_before_computing(capsys):
 
 
 def test_maxones_over_cap_is_one_line_error(capsys):
-    assert run(["maxones", "20000"]) == 1
+    assert run(["maxones", "27037"]) == 0
+    assert len(out_of(capsys)) == 4301
+    assert run(["maxones", "27038"]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: n must be <= MAX_ONES = 2000, got 20000\n")
+    assert out == ""
+    assert err == (
+        "error: n must be <= 27037, got 27038: the answer would have more than "
+        "4300 digits, Python's limit for printing an int\n"
+    )
 
 
 NUMPY_FREE = """

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -213,6 +214,8 @@ def test_construction_dedups_and_rejects_bad_sets():
         SeparatingCover(2, [set()])
     with pytest.raises(ValueError):
         SeparatingCover(2, [{0, 5}])
+    with pytest.raises(ValueError, match=r"^set with elements outside 0\.\.2 is not allowed$"):
+        SeparatingCover(3, [0b1000])  # a mask, not a member list
     for bad in ([-1], [0.5], ["a"], [True]):
         with pytest.raises(ValueError, match="element"):
             SeparatingCover(2, [bad])
@@ -379,6 +382,8 @@ def test_graph_from_cover_rejects_invalid():
     with pytest.raises(CoverValidationError) as exc:
         graph_from_cover(SeparatingCover(2, [{0, 1}]))
     assert exc.value.report.unseparated == (0, 1)
+    with pytest.raises(ValueError, match="^cover has 129 sets; at most 128 supported$"):
+        graph_from_cover(SeparatingCover(129, [1 << x for x in range(129)]))
 
 
 def test_round_trip_k2_union_k3():
@@ -405,7 +410,7 @@ def test_witnesses_are_distinct_maximal_sets():
     for _ in range(150):
         g = random_graph_no_isolated(rng, rng.randint(2, 7))
         c = cover_from_graph(g)
-        h = graph_from_cover(c, check=False)
+        h = graph_from_cover(c)
         witnesses = greedy_mis_witnesses(c)
         assert len({w.bits for w in witnesses}) == c.ground_size
         for w in witnesses:
@@ -729,9 +734,13 @@ def test_minimal_cover_builds_no_graph_and_lists_nothing(monkeypatch):
         assert minimal_cover(m).ground_size == m
 
 
-@pytest.mark.parametrize("m", [True, 2.5, "5", 0])
+@pytest.mark.parametrize("m", [True, 2.5, "5", 0, 10**6 + 1])
 def test_minimal_cover_takes_only_ints_from_one(m):
-    with pytest.raises(ValueError, match=f"^m must be an int >= 1, got {m!r}$"):
+    # and only up to 10**6
+    message = f"m must be an int >= 1, got {m!r}"
+    if m == 10**6 + 1:
+        message = "m must be <= 10**6, got 1000001"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         minimal_cover(m)
 
 

@@ -260,8 +260,12 @@ def test_graph_validation():
         Graph(1, (1,))
     with pytest.raises(ValueError, match=r"^adjacency row 0 has bits outside 0\.\.1$"):
         Graph(2, (4, 0))
+    with pytest.raises(ValueError, match="^adjacency has 1 rows for n=2$"):
+        Graph(2, (0,))
     with pytest.raises(ValueError):
         from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        from_edges(2, [(0, 1), (1, 1)])
     # checked before the adjacency list of n rows is allocated
     for n in (-1, 129, 10**12):
         with pytest.raises(ValueError, match=rf"^vertex count must be in 0\.\.128, got {n}$"):
@@ -307,12 +311,14 @@ def test_enumerate_mis_canonical_order():
     assert [s.members() for s in enumerate_mis(path)] == [(0, 2), (1,)]
 
 
-def test_enumerate_mis_cap_carries_partial_count():
+def test_enumerate_mis_cap_error_is_a_value_error_carrying_the_cap():
     g = extremal_graph(12)  # 81 MISes
     with pytest.raises(MisCapError) as exc:
         enumerate_mis(g, cap=17)
-    assert exc.value.partial_count == 17
+    # a ValueError like every refusal, and still the RuntimeError it was
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, RuntimeError)
     assert exc.value.cap == 17
+    assert str(exc.value) == "number of maximal independent sets exceeds cap 17"
 
 
 @pytest.mark.parametrize("cap", [-1, True, 2.5])
@@ -404,11 +410,11 @@ def test_mis_masks_stop_at_every_cap(monkeypatch):
             drawn.clear()
             with pytest.raises(MisCapError) as exc:
                 _mis_factors(g.adj, g.full_mask, cap)
-            assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
+            assert exc.value.cap == cap
             assert max(drawn) <= cap + 1  # no listing runs past its share
             with pytest.raises(MisCapError) as exc:
                 enumerate_mis(g, cap=cap)
-            assert (exc.value.cap, exc.value.partial_count) == (cap, cap)
+            assert exc.value.cap == cap
         for cap in (len(full), len(full) + 1):
             assert factor_product(_mis_factors(g.adj, g.full_mask, cap)) == full
         assert [s.bits for s in enumerate_mis(g, cap=len(full))] == full
@@ -652,6 +658,9 @@ def test_enumerated_sets_are_plain_vertex_sets():
     assert [hash(s) for s in sets] == [hash(s) for s in public]
     assert [repr(s) for s in sets] == [repr(s) for s in public]
     assert all(type(s) is VertexSet for s in sets)
+    for s in sets:  # the container protocol reads the mask
+        assert (list(s), len(s)) == (list(s.members()), len(s.members()))
+        assert [v for v in range(-1, g.n + 1) if v in s] == list(s.members())
     assert VertexSet.__slots__ == ("bits", "n")
     assert not any(hasattr(s, "__dict__") for s in sets)
     # the slots hold what one unsplit listing of the whole graph gives
@@ -1062,6 +1071,7 @@ def test_graph_text_accepts_comments():
         ("p 2 2\ne 0 1\ne 0 1\n", "duplicate edge"),
         ("p 2 2\ne 0 1\n", "declares 2 edges"),
         ("p 2 0\nq\n", "unknown record"),
+        ("p 2 0\np 2 0\n", "^line 2: duplicate header$"),
         ("p 3 x\n", "^line 1: invalid literal for int"),
         ("p 2 1\ne 0 x\n", "^line 2: invalid literal for int"),
         ("", "missing"),

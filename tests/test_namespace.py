@@ -56,6 +56,18 @@ def test_public_names_are_the_62_of_each_submodule():
     assert miscover.__version__ == "0.1.0"
 
 
+def test_every_exported_error_is_a_value_error():
+    # cli.run reports a ValueError as one line with exit code 1; an exported
+    # error outside that family would reach the user as a traceback
+    exported = [getattr(miscover, name) for name in NAMES]
+    errors = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert [e.__name__ for e in errors] == [
+        "CountBudgetError", "CoverValidationError", "ExpressionSyntaxError", "MisCapError",
+    ]
+    for error in errors:
+        assert issubclass(error, ValueError), error
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from miscover import *", namespace)
