@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from . import expressions as ex
+from .closedforms import _is_index
 from .graphs import MAX_VERTICES, Graph, _side_by_side, count_mis
 
 # complexity_table(MAX_TABLE_LIMIT) measured 0.8-1.0 s of CPU at a peak RSS
@@ -75,8 +76,8 @@ class ComplexityTable:
 
 def complexity_table(limit: int) -> ComplexityTable:
     """Fill the complexity table for 1..limit (see the module docstring)."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    if not _is_index(limit) or limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit!r}")
     if limit > MAX_TABLE_LIMIT:
         raise ValueError(f"limit {limit} exceeds MAX_TABLE_LIMIT = {MAX_TABLE_LIMIT}")
     import numpy as np
@@ -126,8 +127,8 @@ def minimal_expression(m: int, table: ComplexityTable) -> ex.Expression:
     Follows the table's back-pointers, so the result is the unique
     expression selected by the first-minimizer scan order.
     """
-    if not 1 <= m <= table.limit:
-        raise ValueError(f"m must be in 1..{table.limit}, got {m}")
+    if not _is_index(m) or not 1 <= m <= table.limit:
+        raise ValueError(f"m must be in 1..{table.limit}, got {m!r}")
 
     def build(k: int) -> ex.Expression:
         if k == 1:
@@ -172,8 +173,8 @@ def graph_from_expression(e: ex.Expression) -> Graph:
 def complexity_csv(table: ComplexityTable, limit: int | None = None) -> str:
     """CSV lines "m,c" for m = 1..limit, no header."""
     limit = table.limit if limit is None else limit
-    if not 1 <= limit <= table.limit:
-        raise ValueError(f"limit must be in 1..{table.limit}, got {limit}")
+    if not _is_index(limit) or not 1 <= limit <= table.limit:
+        raise ValueError(f"limit must be in 1..{table.limit}, got {limit!r}")
     return "".join(_csv_blocks(table, limit))
 
 

@@ -90,6 +90,10 @@ class ExpressionSyntaxError(ValueError):
         super().__init__(f"position {position}: {message}")
         self.position = position
 
+    def __reduce__(self):
+        # pickle and copy rebuild an error from the arguments of __init__
+        return type(self), (self.position, str(self).partition(": ")[2]), self.__dict__
+
 
 def parse_expression(text: str) -> Expression:
     """Parse expression text; only the digit '1' is a valid literal.

@@ -86,6 +86,10 @@ class MisCapError(ValueError, RuntimeError):
         super().__init__(f"number of maximal independent sets exceeds cap {cap}")
         self.cap = cap
 
+    def __reduce__(self):
+        # pickle and copy rebuild an error from the arguments of __init__
+        return type(self), (self.cap,), self.__dict__
+
 
 class CountBudgetError(ValueError):
     """Raised when count_mis would keep more memo entries than its budget."""
@@ -96,6 +100,9 @@ class CountBudgetError(ValueError):
             "memo entries; the graph is too hard to count"
         )
         self.budget = budget
+
+    def __reduce__(self):
+        return type(self), (self.budget,), self.__dict__
 
 
 @dataclass(frozen=True, slots=True)

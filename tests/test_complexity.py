@@ -131,6 +131,17 @@ def test_table_rejects_bad_limits():
         t[0]
 
 
+@pytest.mark.parametrize("bad", [2.5, "5", True, -1])
+def test_arguments_that_are_not_ints_are_one_value_error(bad):
+    t = complexity_table(5)
+    with pytest.raises(ValueError, match=f"limit must be >= 1, got {bad!r}$"):
+        complexity_table(bad)
+    with pytest.raises(ValueError, match=f"m must be in 1..5, got {bad!r}$"):
+        minimal_expression(bad, t)
+    with pytest.raises(ValueError, match=f"limit must be in 1..5, got {bad!r}$"):
+        complexity_csv(t, bad)
+
+
 def test_minimal_expression_examples():
     t = complexity_table(10)
     e = minimal_expression(1, t)

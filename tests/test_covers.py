@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -10,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miscover
 from conftest import (
@@ -45,8 +48,8 @@ from miscover import (
     validate_cover,
     write_cover_json,
 )
-from miscover.covers import _disjointness, _transpose
-from miscover.graphs import _bits_of
+from miscover.covers import _columns, _disjointness, _signatures
+from miscover.graphs import MAX_VERTICES, _bits_of
 from miscover.oracles import brute_min_separating_sets, greedy_mis_witnesses
 
 
@@ -96,10 +99,10 @@ def seed_validate_cover(cover: SeparatingCover):
 
 def seed_cover_from_graph(g, cap: int = DEFAULT_MIS_CAP) -> SeparatingCover:
     """The MIS cover by listing every MIS, as the seed code built it: the
-    enumerated masks through _transpose, which
+    enumerated masks through _columns, which
     test_transpose_matches_bitwise_reference checks bit by bit."""
     masks = [s.bits for s in enumerate_mis(g, cap)]
-    return SeparatingCover(len(masks), _transpose(masks, g.n))
+    return SeparatingCover(len(masks), _columns(masks, g.n))
 
 
 def seed_disjointness(sets) -> list[int]:
@@ -120,6 +123,16 @@ def seed_cover_to_json(cover: SeparatingCover) -> str:
         "sets": [list(_bits_of(cover.sets[i])) for i in range(len(cover.sets))],
     }
     return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
+
+
+def bitwise_transpose(rows, width: int) -> list[int]:
+    """Bit i of result[j] is bit j of rows[i], one bit at a time: the
+    reference for _signatures and _columns."""
+    out = [0] * width
+    for i, r in enumerate(rows):
+        for j in _bits_of(r):
+            out[j] |= 1 << i
+    return out
 
 
 def seed_mask(elements) -> int:
@@ -471,12 +484,29 @@ def test_transpose_matches_bitwise_reference(k, width, reach, span, dense):
             base = rng.randrange(reach - span + 1)
             bits = rng.sample(range(span), rng.randint(0, min(span, 6)))
             rows.append(seed_mask(base + b for b in bits))
-    expected = [0] * width
-    for i, r in enumerate(rows):
-        for j in _bits_of(r):
-            expected[j] |= 1 << i
-    assert _transpose(rows, width) == expected
-    assert _transpose(expected, k) == rows
+    expected = bitwise_transpose(rows, width)
+    # both directions, through _columns where the width fits a graph
+    for a, b, n in ((rows, expected, width), (expected, rows, k)):
+        assert _signatures(a, n) == b
+        if n <= MAX_VERTICES:
+            assert _columns(a, n) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signatures_and_columns_match_bitwise_reference(data):
+    # a row is a word of random bits at a random offset: empty rows and
+    # lists, more than one block of 64 rows, sparse spans far out, and a
+    # width past the longest row
+    tall = data.draw(st.booleans(), label="more than one block")
+    reach = data.draw(st.sampled_from([0, 50, 5000]), label="reach")
+    row = st.builds(operator.lshift, st.integers(0, 2**70), st.integers(0, reach))
+    rows = data.draw(st.lists(row, min_size=65 if tall else 0, max_size=200), label="masks")
+    width = max(map(int.bit_length, rows), default=0) + data.draw(st.integers(0, 70))
+    expected = bitwise_transpose(rows, width)
+    assert _signatures(rows, width) == expected
+    if width <= MAX_VERTICES:
+        assert _columns(rows, width) == expected
 
 
 def test_member_lists_round_trip_through_masks():
@@ -640,7 +670,7 @@ def test_validate_minimal_cover_and_planted_defects(m):
 
 
 def test_validate_minimal_cover_at_1e6_under_cpu_limit():
-    # about 0.6 s of CPU on a 2-core x86 host; the per-element scan took minutes
+    # about 0.4 s of CPU on a 2-core x86 host; the per-element scan took minutes
     code = "from miscover import *\nprint(validate_cover(minimal_cover(10**6)))\n"
     proc = run_cpu_capped(code, 3)
     assert (proc.returncode, proc.stdout) == (0, f"{CoverReport(True, True)}\n"), proc.stderr
@@ -649,8 +679,8 @@ def test_validate_minimal_cover_at_1e6_under_cpu_limit():
 def test_validate_dense_cover_of_3e6_elements_under_cpu_limit():
     # the MIS cover of extremal_graph(41), 3 188 646 elements on 41 sets,
     # valid and then with one twin planted: built in about 0.06 s and
-    # validated in 1.7 s and 3.8 s of CPU, at 0.55 GiB peak RSS, on a 2-core
-    # x86 host; the per-element scan would take hours
+    # validated in about 1.5 s and 4 s of CPU, at 0.54 GiB peak RSS, on a
+    # 2-core x86 host; the per-element scan would take hours
     x, y = 1_234_567, 3_000_000
     code = (
         "from miscover import *\n"

@@ -1,7 +1,9 @@
 """The public ``miscover`` namespace, whose names load from submodules on first use."""
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,26 @@ def test_every_exported_error_is_a_value_error():
     ]
     for error in errors:
         assert issubclass(error, ValueError), error
+
+
+def test_every_exported_error_survives_pickle_and_copy():
+    # a process pool returns errors pickled; each is rebuilt with its
+    # message and attributes, not with its message passed back as argument
+    errors = [
+        miscover.CountBudgetError(7),
+        miscover.CoverValidationError(miscover.CoverReport(False, False, 2, (0, 2))),
+        miscover.CoverValidationError(miscover.CoverReport(True, False, None, (0, 1))),
+        miscover.ExpressionSyntaxError(3, "bad: unexpected ')'"),
+        miscover.MisCapError(5),
+    ]
+    assert sorted({type(e).__name__ for e in errors}) == [
+        name for name in NAMES if name.endswith("Error")
+    ]
+    for error in errors:
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(clone) is type(error)
+            assert str(clone) == str(error)
+            assert vars(clone) == vars(error)
 
 
 def test_star_import_binds_every_public_name():
