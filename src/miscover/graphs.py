@@ -16,12 +16,12 @@ with the component its alive neighbors lie in, and one whose neighbors
 span several components is removed first by inclusion-exclusion.  With
 nothing waiting it also splits joins.  A connected remainder with nothing
 waiting goes to _narrow_count, an exact dynamic program over a greedy
-vertex elimination order with three states per vertex, unless its tables
-would exceed the budget or 3**(n//3) entries for n vertices; then the
-recursion branches, and makes no further attempt.  So narrow graphs
-count in milliseconds (a 128-vertex cycle in 2-5 ms), and a fixed memo
-budget makes every hard graph fail fast with CountBudgetError instead of
-running on.
+vertex elimination order (the better of two tie-breaks when the first is
+large) with three states per vertex, unless its tables would exceed the
+budget or 3**(n//3) entries for n vertices; then the recursion branches,
+and makes no further attempt.  So narrow graphs count in milliseconds (a
+128-vertex cycle in 2-5 ms), and a fixed memo budget makes every hard
+graph fail fast with CountBudgetError instead of running on.
 enumerate_mis lists the MISes as a product of factors, found by
 _mis_factors.  While the component C of the lowest remaining vertex lies
 wholly below the rest R, C is a factor and R is split again; what is left,
@@ -56,7 +56,8 @@ MAX_VERTICES = 128
 DEFAULT_MIS_CAP = 10_000_000
 # count_mis memo entries, and the total table entries of one elimination
 # DP (_narrow_count), which the benchmark's relabeled 36-vertex cubic
-# graphs keep under 200 000.  Measured on a 2-core x86 host, Python 3.11: graphs the
+# graphs keep under 150 000 (at most 143 652 over 400 relabelings of its
+# eight shapes).  Measured on a 2-core x86 host, Python 3.11: graphs the
 # DP refuses reach the memo budget after 9-10 s of CPU (72-vertex cubic)
 # to 12 s (128 vertices, p = 0.03), at a peak RSS of 210-215 MiB, about
 # 180 MiB above an idle interpreter.
@@ -71,6 +72,16 @@ COUNT_MEMO_BUDGET = 1_000_000
 # call; random 28-vertex cubic graphs take 0.9-2.7 ms, 30-70 % of their
 # 2.8-5.5 ms listing (2-core x86 host, Python 3.11)
 MIS_COUNT_PROBE = 65_536
+# table entries per vertex past which _narrow_count tries its second
+# tie-break.  One order costs about as much as 150 entries per vertex
+# (0.27 / 0.41 ms at 30 / 36 vertices on a 2-core x86 host, Python 3.11),
+# and a second order saves only a fraction of the total: counting an
+# order as 150 entries a vertex, retrying past 300 or 600 raised the mean
+# cost of the benchmark's relabeled 30-vertex cubic graphs, past 1000 it
+# did not.  1 % of those pass it, and 52 % of the 36-vertex ones
+_ORDER_RETRY = 1000
+# _narrow_count's tie-breaks, in the order tried: lowest label, then highest
+_TIES = (1, -1)
 
 
 class MisCapError(ValueError, RuntimeError):
@@ -522,17 +533,19 @@ def count_mis(g: Graph) -> int:
     - if nothing is pending and alive is a join (its complement is
       disconnected), the counts of the two sides add;
     - if nothing is pending and alive has two or more vertices, the
-      elimination DP _narrow_count counts it, unless its tables would
-      hold more than COUNT_MEMO_BUDGET entries, or more than 3**(n//3)
-      for n alive vertices (there the memo recursion is faster).  After
-      one such refusal the call never tries the DP again;
+      elimination DP _narrow_count counts it, unless its tables, in the
+      best order it tries, would hold more than COUNT_MEMO_BUDGET entries,
+      or more than 3**(n//3) for n alive vertices (there the memo
+      recursion is faster).  After one such refusal the call never tries
+      the DP again;
     - otherwise it branches on a maximum-degree vertex: in the set, or
       excluded and pending.
 
     Unions of cliques and expression-built graphs thus resolve without
     branching, and never reach the DP: their remainders are single
     vertices or have something pending.  Narrow graphs are one DP call:
-    a 128-vertex cycle or a 36-vertex cubic graph takes 2-10 ms.  The
+    a 128-vertex cycle takes about 3 ms, a 36-vertex cubic graph 1.5 to
+    17 ms, 4 ms in the median (2-core x86 host, Python 3.11).  The
     memo serves joins, pending sets and graphs too wide for the DP.  It
     lives for this call only; the graph keeps the final count, so a
     repeat call on the same Graph is O(1).
@@ -637,6 +650,16 @@ def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:
     complete before any table is built, so a refusal costs no DP work,
     and a dense graph is refused on its edge count alone.
 
+    Greedy orders are sensitive to the ties left after degree and fill,
+    so one labelling of a graph can need several times the entries of
+    another.  The order therefore comes from a portfolio of tie-breaks
+    (_best_order): lowest label first, then highest.  The second runs
+    only when the first is refused or its total passes _ORDER_RETRY
+    entries per vertex, so most small graphs pay for one order.  It gets
+    the first's total less one as its budget, so it stops as soon as it
+    cannot win.  Of the orders run, the one with the least total is
+    built, the first on a tie.
+
     The table of v has axes v, then L(v) in elimination order, flat and
     row-major.  It is the product of the child messages, broadcast to
     those axes.  Then, for each true neighbor u in L(v): the IN block
@@ -655,45 +678,10 @@ def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:
     q, r = divmod(sum(map(int.bit_count, rows.values())) // 2, n)
     if (n + 2 * r) * 3 ** (q + 1) > budget:
         return None
-    # (degree, twice the fill, v); a fill of -1 is not computed yet, and
-    # is computed only once its vertex is among those of least degree
-    rank = {v: (row.bit_count(), -1, v) for v, row in rows.items()}
-    unknown = alive
-    order = []
-    total = 0
-    while rank:
-        d, f, v = min(rank.values())
-        if total + 3 ** (d + 1) > budget:
-            return None
-        if f < 0:
-            for x in _bits_of(unknown):
-                if rank[x][0] == d:
-                    rank[x] = (d, _fill(rows, rows[x]), x)
-                    unknown ^= 1 << x
-            continue
-        total += 3 ** (d + 1)
-        del rank[v]
-        row = rows.pop(v)
-        order.append((v, row))
-        gone = 1 << v
-        for u in _bits_of(row):
-            rows[u] = (rows[u] | row) & ~(gone | 1 << u)
-        # a fill changes with the row, or with a new edge between two
-        # neighbors: only then can both ends of the edge lie in row
-        seen = twice = 0
-        for u in _bits_of(row):
-            twice |= seen & rows[u]
-            seen |= rows[u]
-        dirty = row | twice
-        unknown |= dirty
-        for x in _bits_of(dirty):
-            x_row = rows[x]
-            e = x_row.bit_count()
-            if e > d:
-                rank[x] = (e, -1, x)
-            else:  # likely among the least next time
-                rank[x] = (e, _fill(rows, x_row), x)
-                unknown ^= 1 << x
+    best = _best_order(rows, alive, budget)
+    if best is None:
+        return None
+    order = best[0]
 
     pos = {v: i for i, (v, _) in enumerate(order)}
     inbox: dict[int, list] = {}
@@ -728,6 +716,72 @@ def _narrow_count(adj: tuple[int, ...], alive: int, budget: int) -> int | None:
         else:
             count *= msg[0]
     return count
+
+
+def _best_order(rows: dict[int, int], alive: int, budget: int) -> tuple[list, int] | None:
+    """The order _narrow_count builds, by its portfolio rule, and its
+    total; or None when every tie-break is refused."""
+    best = None
+    for tie in _TIES:
+        got = _order(rows, alive, budget, tie)
+        if got is not None:
+            best = got
+            budget = got[1] - 1  # a later order stops once it cannot win
+        if best is not None and best[1] <= _ORDER_RETRY * len(rows):
+            break
+    return best
+
+
+def _order(rows: dict[int, int], alive: int, budget: int, tie: int) -> tuple[list, int] | None:
+    """A greedy elimination order of the vertices of rows (v: its row in
+    alive) as (v, later neighbors) pairs, and its total table entries; or
+    None once that total would pass budget.
+
+    Minimum degree, then least fill, then least tie * v: tie is 1 for the
+    lowest label, -1 for the highest.  rows is not changed.
+    """
+    # (degree, twice the fill, tie * v); a fill of -1 is not computed yet,
+    # and is computed only once its vertex is among those of least degree
+    rows = dict(rows)
+    rank = {v: (row.bit_count(), -1, tie * v) for v, row in rows.items()}
+    unknown = alive
+    order = []
+    total = 0
+    while rank:
+        d, f, key = min(rank.values())
+        if total + 3 ** (d + 1) > budget:
+            return None
+        if f < 0:
+            for x in _bits_of(unknown):
+                if rank[x][0] == d:
+                    rank[x] = (d, _fill(rows, rows[x]), tie * x)
+                    unknown ^= 1 << x
+            continue
+        v = tie * key
+        total += 3 ** (d + 1)
+        del rank[v]
+        row = rows.pop(v)
+        order.append((v, row))
+        gone = 1 << v
+        for u in _bits_of(row):
+            rows[u] = (rows[u] | row) & ~(gone | 1 << u)
+        # a fill changes with the row, or with a new edge between two
+        # neighbors: only then can both ends of the edge lie in row
+        seen = twice = 0
+        for u in _bits_of(row):
+            twice |= seen & rows[u]
+            seen |= rows[u]
+        dirty = row | twice
+        unknown |= dirty
+        for x in _bits_of(dirty):
+            x_row = rows[x]
+            e = x_row.bit_count()
+            if e > d:
+                rank[x] = (e, -1, tie * x)
+            else:  # likely among the least next time
+                rank[x] = (e, _fill(rows, x_row), tie * x)
+                unknown ^= 1 << x
+    return order, total
 
 
 def _fill(rows: dict[int, int], row: int) -> int:

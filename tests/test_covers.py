@@ -135,6 +135,17 @@ def bitwise_transpose(rows, width: int) -> list[int]:
     return out
 
 
+def assert_same_words(got: list[int], expected: list[int]) -> None:
+    """got == expected, failing at once on lists of millions of big ints:
+    the lengths, then the first index where they differ.  A bare == on
+    such lists makes pytest render their whole difference, which takes
+    minutes."""
+    n_got, n_expected = len(got), len(expected)
+    assert n_got == n_expected
+    first = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert first is None, f"first difference at index {first}"
+
+
 def seed_mask(elements) -> int:
     mask = 0
     for x in elements:
@@ -487,9 +498,9 @@ def test_transpose_matches_bitwise_reference(k, width, reach, span, dense):
     expected = bitwise_transpose(rows, width)
     # both directions, through _columns where the width fits a graph
     for a, b, n in ((rows, expected, width), (expected, rows, k)):
-        assert _signatures(a, n) == b
+        assert_same_words(_signatures(a, n), b)
         if n <= MAX_VERTICES:
-            assert _columns(a, n) == b
+            assert_same_words(_columns(a, n), b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -504,9 +515,9 @@ def test_signatures_and_columns_match_bitwise_reference(data):
     rows = data.draw(st.lists(row, min_size=65 if tall else 0, max_size=200), label="masks")
     width = max(map(int.bit_length, rows), default=0) + data.draw(st.integers(0, 70))
     expected = bitwise_transpose(rows, width)
-    assert _signatures(rows, width) == expected
+    assert_same_words(_signatures(rows, width), expected)
     if width <= MAX_VERTICES:
-        assert _columns(rows, width) == expected
+        assert_same_words(_columns(rows, width), expected)
 
 
 def test_member_lists_round_trip_through_masks():

@@ -8,6 +8,8 @@ import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miscover.graphs
 from conftest import (
@@ -780,13 +782,30 @@ def test_count_mis_matches_seed_recursion():
         assert count_mis(g) == seed_count_mis(g)
 
 
-def test_count_mis_splits_components_while_vertices_are_pending():
-    # the DP refuses this graph, so the memo counts it: in about 0.5 s with
-    # the component split under pending vertices and its straddler
-    # inclusion-exclusion.  Splitting only with nothing pending, or not
-    # splitting past a straddler, each reached CountBudgetError after 7-10 s.
+def spy_on_dp(monkeypatch) -> list:
+    """What each _narrow_count call returns."""
+    calls = []
+    real = miscover.graphs._narrow_count
+
+    def spy(adj, alive, budget):
+        got = real(adj, alive, budget)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(miscover.graphs, "_narrow_count", spy)
+    return calls
+
+
+def test_count_mis_splits_components_while_vertices_are_pending(monkeypatch):
+    # the DP refuses this graph (both of its orders need about 10**10
+    # entries), so the memo counts it: in about 0.5 s with the component
+    # split under pending vertices and its straddler inclusion-exclusion.
+    # Splitting only with nothing pending, or not splitting past a
+    # straddler, each reached CountBudgetError after 7-10 s.
     g = random_graph(random.Random(1), 64, 0.08)
+    calls = spy_on_dp(monkeypatch)
     assert count_mis(g) == seed_count_mis(g) == 837_605
+    assert calls == [None]  # the memo's test, not the DP's
 
 
 def test_count_mis_matches_seed_recursion_without_the_dp(monkeypatch):
@@ -870,15 +889,8 @@ def test_narrow_count_refuses_past_its_budget():
 
 
 def test_count_mis_hands_narrow_remainders_to_the_dp(monkeypatch):
-    calls = []
     real = miscover.graphs._narrow_count
-
-    def spy(adj, alive, budget):
-        got = real(adj, alive, budget)
-        calls.append(got)
-        return got
-
-    monkeypatch.setattr(miscover.graphs, "_narrow_count", spy)
+    calls = spy_on_dp(monkeypatch)
     table = complexity_table(1000)
     cographs = [(extremal_graph(n), max_partition_product(n)) for n in (2, 10, 30, 128)]
     cographs += [(extremal_graph(13, Variant.K4), max_partition_product(13))]
@@ -902,6 +914,69 @@ def test_count_mis_hands_narrow_remainders_to_the_dp(monkeypatch):
     calls.clear()
     assert count_mis(g) == seed_count_mis(g)
     assert calls == [None]
+
+
+def narrow_by(g: Graph, tie: int):
+    """_narrow_count's count of g in the order of one tie-break alone."""
+    real = miscover.graphs._order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            miscover.graphs,
+            "_order",
+            lambda rows, alive, budget, t: real(rows, alive, budget, t) if t == tie else None,
+        )
+        return narrow(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_tie_break_order_counts_right(data):
+    nx = pytest.importorskip("networkx")
+    # up to 12 vertices the tables hold at most 3 + 9 + ... + 3**12 entries,
+    # under the budget, so every order is accepted
+    n = data.draw(st.integers(1, 12), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = from_edges(n, edges)
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    expected = sum(1 for _ in nx.find_cliques(nx.complement(h)))
+    assert seed_count_mis(g) == expected
+    for tie in miscover.graphs._TIES:
+        assert narrow_by(g, tie) == expected
+
+
+def test_order_portfolio_lowers_the_largest_table_total(monkeypatch):
+    # greedy orders are sensitive to ties, so the label order's total moves
+    # with the labelling.  Over 12 relabelings of one cubic graph, a label
+    # order within _ORDER_RETRY entries per vertex is the only order tried;
+    # past it, the order built is the best of the portfolio, and the worst
+    # total falls: 44 670 entries in label order, 33 006 built
+    shape = random_cubic_graph(random.Random(2), 36)
+    expected = seed_count_mis(shape)
+    real = miscover.graphs._order
+    calls = []
+
+    def spy(rows, alive, budget, tie):
+        got = real(rows, alive, budget, tie)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(miscover.graphs, "_order", spy)
+    retry = miscover.graphs._ORDER_RETRY * 36
+    label, built = [], []
+    for k in range(12):
+        relabel = random.Random(k).sample(range(36), 36)
+        g = from_edges(36, [(relabel[u], relabel[v]) for u, v in shape.edges()])
+        rows = {v: g.adj[v] for v in range(36)}
+        label.append(real(rows, g.full_mask, COUNT_MEMO_BUDGET, 1)[1])
+        calls.clear()
+        assert narrow(g) == expected
+        built.append(min(got[1] for got in calls if got is not None))
+        assert len(calls) == (1 if label[-1] <= retry else len(miscover.graphs._TIES))
+    assert all(b <= t for b, t in zip(built, label))
+    assert min(label) <= retry < max(label)  # both branches are taken
+    assert max(built) < max(label)
 
 
 def test_count_mis_splits_joins(monkeypatch):
